@@ -14,9 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .caps import Caps, default_caps
 from .core_space import (
@@ -24,9 +23,7 @@ from .core_space import (
     FinitePoset,
     FiniteSpace,
     bit_indices,
-    canonical_masks,
     check_continuous,
-    enumerate_continuous_maps,
     from_poset,
     is_homeomorphic,
     specialization_order,
@@ -35,7 +32,6 @@ from .errors import (
     ContractViolation,
     DslError,
     ResourceCapError,
-    TopolabError,
     UnsupportedSpaceError,
     ValidationError,
 )
@@ -56,10 +52,7 @@ from .hyperspaces import (
     SmythSpace,
     box,
     diamond,
-    diamond_lattice,
-    eta,
     lower_vietoris,
-    smyth_power,
 )
 from .products_properties import (
     PREDICATE_NAMES,
@@ -69,15 +62,11 @@ from .products_properties import (
     check_smyth_category,
     predicates,
     product,
-    projections,
     satisfies_category,
 )
 from .reflections import (
-    DcpoCompletion,
     Reflection,
     d_completion,
-    extend,
-    functor_map,
     reflect,
     sober_target_catalog,
     universal_property_report,
@@ -213,7 +202,7 @@ def parse(text: str) -> Space:
     name = None
     points: Optional[tuple[str, ...]] = None
     order_pairs: list[tuple[str, str]] = []
-    opens_groups: list[set[str]] = []
+    opens_groups: list[tuple[int, set[str]]] = []  # (line, labels)
     saw_order = False
     saw_opens = False
     symbolic_variant = None
@@ -259,7 +248,8 @@ def parse(text: str) -> Space:
             if symbolic_variant is not None or saw_order:
                 raise DslError("opens lines cannot mix with this body", lineno)
             saw_opens = True
-            opens_groups.extend(_parse_brace_groups(line[len("opens"):], lineno))
+            opens_groups.extend((lineno, group) for group
+                                in _parse_brace_groups(line[len("opens"):], lineno))
             continue
         raise DslError(f"unknown directive {head!r}", lineno)
 
@@ -272,14 +262,14 @@ def parse(text: str) -> Space:
     if saw_opens:
         index = {p: i for i, p in enumerate(points)}
         masks = []
-        for group in opens_groups:
+        for group_line, group in opens_groups:
             mask = 0
             for label in group:
                 if label not in index:
-                    raise DslError(f"open mentions unknown point {label!r}", 1)
+                    raise DslError(f"open mentions unknown point {label!r}", group_line)
                 mask |= 1 << index[label]
             masks.append(mask)
-        return FiniteSpace(points, canonical_masks(masks), name=name)
+        return FiniteSpace(points, masks, name=name)
     poset = FinitePoset.from_pairs(points, order_pairs)
     return from_poset(poset).renamed(name)
 
@@ -361,7 +351,7 @@ def to_jsonable(obj) -> dict:
             "schema_version": SCHEMA_VERSION,
             "kind": "closed_family",
             "label": obj.label,
-            "status": obj.status,
+            "status": "exact",
             "base": obj.base.name,
             "members": [_mask_labels(obj.base, m) for m in obj.members],
         }
@@ -1071,25 +1061,20 @@ def _cmd_info(args, caps: Caps) -> int:
 def _cmd_families(args, caps: Caps) -> int:
     space = _load_space(args.space, caps)
     if isinstance(space, SymbolicSpace):
-        lines = []
-        for key in ("sc", "dc", "rd", "irr"):
-            fam = sym.sym_family(space, key)
-            lines.append(f"{key:<4} point closures"
-                         + (" + carrier" if fam.includes_all else ""))
+        sym_fams = {key: sym.sym_family(space, key) for key in ("sc", "dc", "rd", "irr")}
         for c in ALL_CATEGORIES:
-            fam = sym.sym_family(space, c)
-            lines.append(f"K[{c.value}] point closures"
-                         + (" + carrier" if fam.includes_all else ""))
+            sym_fams[f"K[{c.value}]"] = sym.sym_family(space, c)
         if args.json:
             print(json.dumps({
                 "schema_version": SCHEMA_VERSION,
                 "kind": "symbolic_families",
                 "space": space.variant.value,
-                "families": {key: to_jsonable(sym.sym_family(space, key))
-                             for key in ("sc", "dc", "rd", "irr")},
+                "families": {key: to_jsonable(fam) for key, fam in sym_fams.items()},
             }, indent=2, ensure_ascii=False, sort_keys=True))
         else:
-            print("\n".join(lines))
+            print("\n".join(f"{key:<4} point closures"
+                            + (" + carrier" if fam.includes_all else "")
+                            for key, fam in sym_fams.items()))
         return 0
     fams = {
         "S_c": point_closures(space),

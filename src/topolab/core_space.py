@@ -15,8 +15,9 @@ of the preorder it induces.
 
 from __future__ import annotations
 
+import copy
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -256,31 +257,21 @@ class FiniteSpace:
         for u in opens:
             for i in bit_indices(u):
                 up[i] &= u
-
-        if len(opens) <= 256:
-            for a in opens:
-                for b in opens:
-                    if a | b not in opens_set:
-                        raise ValidationError(
-                            "opens are not closed under union: "
-                            f"{self._render(a)} | {self._render(b)} is missing"
-                        )
-                    if a & b not in opens_set:
-                        raise ValidationError(
-                            "opens are not closed under intersection: "
-                            f"{self._render(a)} & {self._render(b)} is missing"
-                        )
-            self._check_t0(up)
-        else:
-            # Large families: closure under union/intersection holds iff the
-            # family equals the upper sets of the induced order (Alexandrov).
-            self._check_t0(up)
-            ups = _upper_sets(up, limit=len(opens))
-            if ups is None or set(ups) != opens_set:
+        self._check_t0(up)
+        # every member is an upper set of `up`; the family must hold them all
+        for m in up:
+            if m not in opens_set:
                 raise ValidationError(
-                    "opens are not closed under union/intersection: the family "
-                    "does not match the upper sets of its specialization order"
+                    "opens are not closed under intersection: "
+                    f"{self._render(m)} is missing"
                 )
+        if _upper_sets(up, limit=len(opens)) is None:
+            # every upper set is a union of rows, so some open | row is missing
+            missing = next(a | r for a in opens for r in up if a | r not in opens_set)
+            raise ValidationError(
+                "opens are not closed under union: "
+                f"{self._render(missing)} is missing"
+            )
         object.__setattr__(self, "_up_masks", tuple(up))
 
     def _check_t0(self, up: Sequence[int]) -> None:
@@ -382,7 +373,10 @@ class FiniteSpace:
         return out
 
     def renamed(self, name: str) -> "FiniteSpace":
-        return replace(self, name=name)
+        """The same, already validated, space under another name."""
+        out = copy.copy(self)
+        object.__setattr__(out, "name", name)
+        return out
 
     def subspace(self, mask: int, name: str = "") -> "FiniteSpace":
         positions = list(bit_indices(mask))
@@ -390,7 +384,7 @@ class FiniteSpace:
             raise ValidationError("subspace carrier must be nonempty")
         points = tuple(self.points[i] for i in positions)
         opens = {compress_mask(u & mask, positions) for u in self.opens}
-        return FiniteSpace(points, canonical_masks(opens), name=name)
+        return FiniteSpace(points, opens, name=name)
 
 
 def from_poset(p: FinitePoset, caps: Caps | None = None) -> FiniteSpace:
@@ -403,7 +397,7 @@ def from_poset(p: FinitePoset, caps: Caps | None = None) -> FiniteSpace:
     ups = _upper_sets(p.leq, limit=caps.max_opens)
     if ups is None:
         raise ResourceCapError(f"open lattice exceeds cap {caps.max_opens}")
-    return FiniteSpace(p.elements, canonical_masks(ups))
+    return FiniteSpace(p.elements, ups)
 
 
 def specialization_order(x: FiniteSpace) -> FinitePoset:

@@ -19,16 +19,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 from .caps import Caps, default_caps
 from .core_space import (
     ContinuousMap,
     FiniteSpace,
-    bit_indices,
     canonical_masks,
-    check_continuous,
     mask_key,
     specialization_order,
 )
@@ -66,17 +63,19 @@ def directed_closures(x: FiniteSpace) -> ClosedFamily:
     Enumerates every directed subset as an internal oracle and asserts the
     finite collapse D_c = S_c (a finite directed set has a maximum).
     """
-    poset = specialization_order(x)
-    closures = set()
-    for mask in range(1, 1 << x.n):
-        if poset.is_directed_subset(mask):
-            closures.add(x.closure(mask))
-    family = ClosedFamily(x, tuple(closures), label="D_c")
+    family = ClosedFamily(x, tuple(_directed_closure_masks(x)), label="D_c")
     if family.member_set() != frozenset(x.down_masks):
         raise ContractViolation(
             "directed closures of a finite space must collapse to point closures"
         )
     return family
+
+
+def _directed_closure_masks(x: FiniteSpace) -> frozenset[int]:
+    """Closures of every directed subset, by enumerating all 2^n subsets."""
+    poset = specialization_order(x)
+    return frozenset(x.closure(mask) for mask in range(1, 1 << x.n)
+                     if poset.is_directed_subset(mask))
 
 
 def is_irreducible_closed_set(x: FiniteSpace, a: int) -> bool:
@@ -191,20 +190,22 @@ def rudin_sets(x: FiniteSpace) -> RudinSets:
     return RudinSets(family, witnesses)
 
 
+def _filtered_families(q: Sequence[int], max_size: int) -> Iterator[tuple[int, ...]]:
+    """Every filtered family of at most `max_size` members of `q`: the
+    intersection of any two members contains some member."""
+    for size in range(1, max_size + 1):
+        for combo in itertools.combinations(q, size):
+            if all(any(m & ~(a & b) == 0 for m in combo)
+                   for a, b in itertools.combinations(combo, 2)):
+                yield combo
+
+
 def rudin_sets_by_filtered_enumeration(x: FiniteSpace, max_size: int = 3) -> frozenset[int]:
     """Oracle for `rudin_sets`: union of the minimal meeting sets over every
     filtered family of compact saturated sets of size at most `max_size`."""
-    q = [u for u in x.opens if u]
     found: set[int] = set()
-    for size in range(1, max_size + 1):
-        for combo in itertools.combinations(q, size):
-            filtered = all(
-                any(m & ~(a & b) == 0 for m in combo)
-                for a, b in itertools.combinations(combo, 2)
-            )
-            if not filtered:
-                continue
-            found.update(_minimal_meeting_all(x.closed_sets, combo))
+    for combo in _filtered_families([u for u in x.opens if u], max_size):
+        found.update(_minimal_meeting_all(x.closed_sets, combo))
     return frozenset(found)
 
 

@@ -21,55 +21,31 @@ from .core_space import (
     ContinuousMap,
     FiniteSpace,
     _upper_sets,
-    bit_indices,
     canonical_masks,
     check_continuous,
 )
 from .errors import ContractViolation, ResourceCapError, ValidationError
-
-EXACT = "exact"
-INTERVAL = "interval"
 
 
 @dataclass(frozen=True)
 class ClosedFamily:
     """A distinguished family of closed subsets of a base space.
 
-    Members are canonical (popcount, value) sorted masks.  Status is "exact"
-    for every finite computation; "interval" exists for symbolically-presented
-    families where only bounds are known, in which case `members` holds the
-    lower bound and `upper_members` the upper one.
+    Members are canonical (popcount, value) sorted masks.
     """
 
     base: FiniteSpace
     members: tuple[int, ...]
-    status: str = EXACT
-    upper_members: tuple[int, ...] | None = None
     label: str = field(default="", compare=False)
 
     def __post_init__(self):
         members = canonical_masks(self.members)
         object.__setattr__(self, "members", members)
-        if self.status not in (EXACT, INTERVAL):
-            raise ValidationError(f"unknown family status {self.status!r}")
         for m in members:
             if not self.base.is_closed(m):
                 raise ValidationError(
                     f"family member {self.base.render_subset(m)} is not closed in the base"
                 )
-        if self.status == INTERVAL:
-            if self.upper_members is None:
-                raise ValidationError("interval families need an upper member list")
-            upper = canonical_masks(self.upper_members)
-            object.__setattr__(self, "upper_members", upper)
-            upper_set = set(upper)
-            for m in upper:
-                if not self.base.is_closed(m):
-                    raise ValidationError("interval upper member is not closed in the base")
-            if any(m not in upper_set for m in members):
-                raise ValidationError("interval lower bound is not contained in the upper bound")
-        elif self.upper_members is not None:
-            raise ValidationError("exact families must not carry an upper member list")
 
     @property
     def size(self) -> int:
@@ -94,7 +70,7 @@ class ClosedFamily:
         return frozenset(self.members)
 
     def relabel(self, label: str) -> "ClosedFamily":
-        return ClosedFamily(self.base, self.members, self.status, self.upper_members, label)
+        return ClosedFamily(self.base, self.members, label)
 
 
 def diamond(g: ClosedFamily, a: int) -> int:
@@ -106,7 +82,7 @@ def diamond(g: ClosedFamily, a: int) -> int:
     return out
 
 
-def box(g: ClosedFamily, a: int) -> int:
+def box(g: ClosedFamily | SmythSpace, a: int) -> int:
     """Index mask of members contained in `a`."""
     out = 0
     for k, m in enumerate(g.members):
@@ -155,6 +131,7 @@ def _member_labels(g: ClosedFamily) -> tuple[str, ...]:
 
 
 def _inclusion_up_rows(members: tuple[int, ...]) -> list[int]:
+    """Row k is the index mask of the members containing member k."""
     rows = []
     for a in members:
         row = 0
@@ -186,8 +163,6 @@ class HyperSpace:
 def lower_vietoris(g: ClosedFamily, caps: Caps | None = None) -> HyperSpace:
     """The space of `g` under the topology generated by the diamond sets."""
     caps = caps or default_caps()
-    if g.status != EXACT:
-        raise ValidationError("lower Vietoris construction needs an exact family")
     if not g.members:
         raise ValidationError("lower Vietoris construction needs a nonempty family")
     for m in g.members:
@@ -202,7 +177,7 @@ def lower_vietoris(g: ClosedFamily, caps: Caps | None = None) -> HyperSpace:
     if opens is None:
         raise ResourceCapError("hyperspace open lattice exceeds cap")
     name = f"P_H({g.label or 'G'})" + (f"@{g.base.name}" if g.base.name else "")
-    space = FiniteSpace(_member_labels(g), canonical_masks(opens), name=name)
+    space = FiniteSpace(_member_labels(g), opens, name=name)
     return HyperSpace(g, space)
 
 
@@ -229,21 +204,6 @@ class SmythSpace:
     def _member_index(self) -> dict[int, int]:
         return {m: k for k, m in enumerate(self.members)}
 
-    def box_points(self, a: int) -> int:
-        """Index mask of members contained in `a`."""
-        out = 0
-        for k, m in enumerate(self.members):
-            if m & ~a == 0:
-                out |= 1 << k
-        return out
-
-    def diamond_points(self, a: int) -> int:
-        out = 0
-        for k, m in enumerate(self.members):
-            if m & a:
-                out |= 1 << k
-        return out
-
     def supercompact_members(self) -> tuple[int, ...]:
         """Members every open cover of which has a single covering member;
         exactly the principal upper sets."""
@@ -257,20 +217,14 @@ def smyth_power(x: FiniteSpace, caps: Caps | None = None) -> SmythSpace:
         raise ResourceCapError(
             f"base space has {x.n} points, hyperspace cap is {caps.max_hyper_base_points}"
         )
-    members = canonical_masks(u for u in x.opens if u)
-    rows = []
-    for a in members:
-        row = 0
-        for k, b in enumerate(members):
-            if b & ~a == 0:  # Smyth order: a below b iff b subset of a
-                row |= 1 << k
-        rows.append(row)
+    members = tuple(u for u in x.opens if u)
+    # Smyth order, a below b iff b is a subset of a: inclusion of complements
+    rows = _inclusion_up_rows(tuple(x.full_mask ^ m for m in members))
     opens = _upper_sets(rows, limit=caps.max_opens)
     if opens is None:
         raise ResourceCapError("Smyth power open lattice exceeds cap")
     labels = tuple(x.render_subset(m) for m in members)
-    space = FiniteSpace(labels, canonical_masks(opens),
-                        name=f"P_S({x.name})" if x.name else "P_S")
+    space = FiniteSpace(labels, opens, name=f"P_S({x.name})" if x.name else "P_S")
     return SmythSpace(x, members, space)
 
 
@@ -278,7 +232,7 @@ def box_lattice(s: SmythSpace, caps: Caps | None = None) -> tuple[int, ...]:
     """Definitional open family of P_S: unions of the box subbasis (which is
     already closed under intersection).  For test cross-checks."""
     caps = caps or default_caps()
-    family = {s.box_points(u) for u in s.base.opens}
+    family = {box(s, u) for u in s.base.opens}
     changed = True
     while changed:
         changed = False
@@ -345,7 +299,7 @@ def xi(x: FiniteSpace, smyth: SmythSpace | None = None,
     if image != expected_image:
         raise ContractViolation("xi image differs from the supercompact members")
     for u in x.opens:
-        b = ps.box_points(u)
+        b = box(ps, u)
         if f.preimage_mask(b) != u:
             raise ContractViolation("xi preimage of a box differs from the open")
         if f.image_mask(u) != b & image:

@@ -21,18 +21,17 @@ from .core_space import (
     bit_indices,
     check_continuous,
     from_poset,
-    specialization_order,
 )
 from .errors import ContractViolation, ResourceCapError, ValidationError
 from .families import (
-    ALL_CATEGORIES,
     CategoryTag,
+    _directed_closure_masks,
+    _filtered_families,
     irreducible_closed,
     k_family,
-    point_closures,
 )
 from .hyperspaces import smyth_power
-from .reflections import Reflection, reflect
+from .reflections import reflect
 from .symbolic import (
     SymbolicSpace,
     SymbolicVariant,
@@ -131,15 +130,6 @@ def way_below(x: FiniteSpace, u: int, v: int) -> bool:
     return u & ~v == 0
 
 
-def _directed_closure_masks(x: FiniteSpace) -> frozenset[int]:
-    poset = specialization_order(x)
-    out = set()
-    for mask in range(1, 1 << x.n):
-        if poset.is_directed_subset(mask):
-            out.add(x.closure(mask))
-    return frozenset(out)
-
-
 def _wf_sweep(x: FiniteSpace, max_size: int = 3, max_q: int = 32) -> tuple[bool, str]:
     """Regression oracle for the well-filtered condition: check every
     filtered family of compact saturated sets of size up to `max_size`.
@@ -149,18 +139,14 @@ def _wf_sweep(x: FiniteSpace, max_size: int = 3, max_q: int = 32) -> tuple[bool,
     if len(q) > max_q:
         return True, f"sweep skipped: |Q| = {len(q)} exceeds {max_q}"
     count = 0
-    for size in range(1, max_size + 1):
-        for combo in itertools.combinations(q, size):
-            if not all(any(m & ~(a & b) == 0 for m in combo)
-                       for a, b in itertools.combinations(combo, 2)):
-                continue
-            count += 1
-            inter = x.full_mask
-            for k in combo:
-                inter &= k
-            for u in x.opens:
-                if inter & ~u == 0 and not any(k & ~u == 0 for k in combo):
-                    return False, f"violating family {[x.render_subset(k) for k in combo]}"
+    for combo in _filtered_families(q, max_size):
+        count += 1
+        inter = x.full_mask
+        for k in combo:
+            inter &= k
+        for u in x.opens:
+            if inter & ~u == 0 and not any(k & ~u == 0 for k in combo):
+                return False, f"violating family {[x.render_subset(k) for k in combo]}"
     return True, f"least-member reduction; sweep over {count} filtered families agreed"
 
 
@@ -279,28 +265,22 @@ def _union_of_way_below(x: FiniteSpace, v: int) -> int:
     return out
 
 
-def satisfies_category(x: FiniteSpace, c: CategoryTag, caps: Caps | None = None,
-                       thorough: Optional[bool] = None) -> bool:
+def satisfies_category(x: FiniteSpace, c: CategoryTag, caps: Caps | None = None) -> bool:
     """Category membership for a finite space.
 
-    The thorough path recomputes the defining family; the fast path applies
-    the finite-space collapse (every finite T0 space is sober: an
+    Below a work estimate the defining family is recomputed; above it the
+    finite-space collapse applies (every finite T0 space is sober: an
     irreducible closed set with two maximal points splits over them, so
     each irreducible closed set is the closure of its unique maximal point;
-    sobriety implies well-filtered implies d-space).  The gate is a work
-    estimate, so small spaces are always checked definitionally.
+    sobriety implies well-filtered implies d-space).  Small spaces are
+    therefore always checked definitionally.
     """
     if c is CategoryTag.SOBRIETY:
-        if thorough is None:
-            thorough = len(x.closed_sets) ** 2 <= 250_000
-        if not thorough:
+        if len(x.closed_sets) ** 2 > 250_000:
             return True
-        sc = frozenset(x.down_masks)
-        return frozenset(irreducible_closed(x).members) == sc
+        return frozenset(irreducible_closed(x).members) == frozenset(x.down_masks)
     if c is CategoryTag.D_SPACE:
-        if thorough is None:
-            thorough = (1 << x.n) * x.n * x.n <= 2_000_000
-        if not thorough:
+        if (1 << x.n) * x.n * x.n > 2_000_000:
             return True
         return _directed_closure_masks(x) == frozenset(x.down_masks)
     ok, _ = _wf_sweep(x)
@@ -386,10 +366,6 @@ class KSpaceProductResult:
     @property
     def ok(self) -> bool:
         return self.product_is_kspace == self.factors_are_kspaces
-
-
-def _finite_family_collapses(x: FiniteSpace, c: CategoryTag) -> bool:
-    return satisfies_category(x, c)
 
 
 def check_kspace_product(xs: Sequence[Union[FiniteSpace, SymbolicSpace]],

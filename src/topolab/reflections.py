@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .caps import Caps, default_caps
 from .core_space import (
@@ -21,11 +21,10 @@ from .core_space import (
     enumerate_continuous_maps,
     from_poset,
     is_homeomorphic,
-    specialization_order,
 )
 from .errors import ContractViolation, UnsupportedSpaceError, ValidationError
-from .families import ALL_CATEGORIES, CategoryTag, k_family
-from .hyperspaces import ClosedFamily, HyperSpace, diamond, eta, lower_vietoris
+from .families import CategoryTag, k_family
+from .hyperspaces import ClosedFamily, HyperSpace, _inclusion_up_rows, eta, lower_vietoris
 
 
 def _satisfies(x: FiniteSpace, c: CategoryTag, caps: Caps | None) -> bool:
@@ -246,14 +245,7 @@ def d_completion(p: Union[FinitePoset, object], caps: Caps | None = None) -> Dcp
     space = from_poset(p, caps)
     family = k_family(space, CategoryTag.D_SPACE)
     elements = tuple(space.render_subset(m) for m in family.members)
-    rows = []
-    for a in family.members:
-        row = 0
-        for k, b in enumerate(family.members):
-            if a & ~b == 0:
-                row |= 1 << k
-        rows.append(row)
-    completed = FinitePoset(elements, tuple(rows))
+    completed = FinitePoset(elements, _inclusion_up_rows(family.members))
     unit = tuple(family.member_position(space.down_masks[i]) for i in range(p.n))
     _check_unit_scott_continuous(p, completed, unit)
     _check_dcpo(completed)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .caps import Caps, default_caps
 from .core_space import FiniteSpace, is_homeomorphic
@@ -514,9 +514,6 @@ class SymbolicProductIrr:
     finite_space: FiniteSpace
     sym_irr: SymbolicFamily
     finite_irr: ClosedFamily
-
-    def pair_count_is_infinite(self) -> bool:
-        return True  # the symbolic factor always has infinitely many members
 
     def all_pairs_have_generic_points(self) -> bool:
         """True iff every member B x C has a generic point, which happens iff

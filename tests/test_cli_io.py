@@ -65,6 +65,10 @@ def test_parse_errors_carry_line_numbers():
         parse("space s\npoints a b\norder a < b\nopens {} {a b}\n")
     with pytest.raises(ValidationError):
         parse("space s\npoints a b\norder a < b\norder b < a\n")
+    with pytest.raises(DslError) as err:
+        parse("space s\npoints a b\nopens {} {a b}\nopens {a} {zz}\n")
+    assert err.value.line == 4
+    assert "'zz'" in str(err.value)
 
 
 def test_parse_render_round_trip_on_zoo():
@@ -238,6 +242,19 @@ def test_cli_zoo_reflect_product_families(capsys):
     assert main(["families", "zoo:vee"]) == 0
     assert "Irr_c" in capsys.readouterr().out
     assert main(["product", "zoo:cofinite", "zoo:vee"]) == 2
+
+
+def test_cli_symbolic_families_json_matches_plain(capsys):
+    assert main(["families", "zoo:cofinite"]) == 0
+    plain = {}
+    for line in capsys.readouterr().out.splitlines():
+        label, rest = line.split(None, 1)
+        plain[label] = rest.endswith("+ carrier")
+    assert main(["families", "zoo:cofinite", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    flags = {label: fam["includes_carrier"] for label, fam in doc["families"].items()}
+    assert len(plain) == 7
+    assert flags == plain
 
 
 def test_cli_json_outputs_are_parseable(capsys):

@@ -187,12 +187,28 @@ def test_space_validation_names_axioms():
         FiniteSpace(("a", "b"), (0, 1))
     with pytest.raises(ValidationError, match="not T0"):
         FiniteSpace(("a", "b"), (0, 0b11))
-    with pytest.raises(ValidationError, match="union"):
+    with pytest.raises(ValidationError, match=r"union: \{a,b\} is missing"):
         FiniteSpace(("a", "b", "c"), (0, 0b001, 0b010, 0b111))
-    with pytest.raises(ValidationError, match="intersection"):
+    with pytest.raises(ValidationError, match=r"intersection: \{b\} is missing"):
         FiniteSpace(("a", "b", "c"), (0, 0b011, 0b110, 0b111))
     with pytest.raises(ValidationError, match="distinct"):
         FiniteSpace(("a", "a"), (0, 0b11))
+    # 511 opens on 9 points: the discrete topology without {p0,p1}
+    labels = tuple(f"p{i}" for i in range(9))
+    with pytest.raises(ValidationError, match=r"union: \{p0,p1\} is missing"):
+        FiniteSpace(labels, tuple(m for m in range(1 << 9) if m != 0b11))
+
+
+def test_renamed_keeps_the_validated_space(vee, monkeypatch):
+    def fail(self):
+        raise AssertionError("renamed must not validate again")
+
+    monkeypatch.setattr(FiniteSpace, "__post_init__", fail)
+    other = vee.renamed("other")
+    assert other.name == "other" and vee.name == "vee"
+    assert other == vee
+    assert other.up_masks == vee.up_masks
+    assert other.opens == vee.opens
 
 
 def test_point_cap_is_enforced():

@@ -45,22 +45,6 @@ def test_diamond_box_on_sierpinski(sierpinski):
 def test_closed_family_validation(sierpinski):
     with pytest.raises(ValidationError, match="not closed"):
         ClosedFamily(sierpinski, (sierpinski.mask_of("top"),))
-    with pytest.raises(ValidationError, match="upper member"):
-        ClosedFamily(sierpinski, (sierpinski.mask_of("bot"),), status="interval")
-
-
-def test_interval_family_bounds(sierpinski):
-    bot = sierpinski.mask_of("bot")
-    fam = ClosedFamily(sierpinski, (bot,), status="interval",
-                       upper_members=(bot, sierpinski.full_mask))
-    assert fam.members == (bot,)
-    with pytest.raises(ValidationError, match="lower bound"):
-        ClosedFamily(sierpinski, (sierpinski.full_mask,), status="interval",
-                     upper_members=(bot,))
-    with pytest.raises(ValidationError, match="exact"):
-        ClosedFamily(sierpinski, (bot,), upper_members=(bot,))
-    with pytest.raises(ValidationError, match="lower Vietoris"):
-        lower_vietoris(fam)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +111,7 @@ def test_smyth_power_of_sierpinski(sierpinski):
     ps = smyth_power(sierpinski)
     top = sierpinski.mask_of("top")
     assert set(ps.members) == {top, sierpinski.full_mask}
-    assert ps.box_points(top) == 1 << ps.point_of_member(top)
+    assert box(ps, top) == 1 << ps.point_of_member(top)
     assert is_homeomorphic(ps.space, sierpinski)
 
 
