@@ -19,8 +19,8 @@ class Caps:
     max_points: int = 12            # carrier size for ordinary spaces
     max_hyper_base_points: int = 7  # carrier size of spaces fed to hyperspace builders
     max_opens: int = 1 << 17        # materialized open-lattice size
-    max_maps: int = 1 << 20         # function-space enumeration bound
-    max_iso_points: int = 8         # brute-force homeomorphism search bound
+    max_maps: int = 1 << 20         # map enumeration: bound on y.n ** x.n, all functions
+    max_iso_points: int = 8         # order-isomorphism (homeomorphism) search bound
 
     def __post_init__(self):
         for f in fields(self):

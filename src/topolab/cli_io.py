@@ -68,7 +68,6 @@ from .reflections import (
     Reflection,
     d_completion,
     reflect,
-    sober_target_catalog,
     universal_property_report,
 )
 from . import symbolic as sym
@@ -704,13 +703,12 @@ def suite_universal_property(cfg: VerifyConfig) -> SuiteResult:
     """Every continuous map into a catalog target factors uniquely through
     the reflection embedding."""
     res = SuiteResult("universal_property")
-    targets = sober_target_catalog(4, cfg.caps)
     rng = SplitMix64(cfg.seed ^ 0x9E3779B9)
     for _ in range(cfg.universal_samples):
         x = _sample_space(rng, min(4, cfg.max_points), cfg.caps)
         try:
             report = universal_property_report(
-                x, CategoryTag.WELL_FILTERED, targets, cfg.caps)
+                x, CategoryTag.WELL_FILTERED, caps=cfg.caps)
             res.check(report.ok and report.maps_tested == report.unique_factorizations,
                       f"{x.name}: {report.violations[:3]}")
         except ResourceCapError as exc:

@@ -16,7 +16,6 @@ of the preorder it induces.
 from __future__ import annotations
 
 import copy
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -170,9 +169,6 @@ class FinitePoset:
     def le(self, i: int, j: int) -> bool:
         return bool(self.leq[i] >> j & 1)
 
-    def up_mask(self, i: int) -> int:
-        return self.leq[i]
-
     @cached_property
     def down_rows(self) -> tuple[int, ...]:
         rows = [0] * self.n
@@ -180,15 +176,6 @@ class FinitePoset:
             for j in bit_indices(self.leq[i]):
                 rows[j] |= 1 << i
         return tuple(rows)
-
-    def down_mask(self, i: int) -> int:
-        return self.down_rows[i]
-
-    def upper_closure(self, mask: int) -> int:
-        out = 0
-        for i in bit_indices(mask):
-            out |= self.leq[i]
-        return out
 
     def lower_closure(self, mask: int) -> int:
         out = 0
@@ -223,6 +210,17 @@ class FinitePoset:
 # spaces
 
 
+def _checked_points(points: Iterable[str]) -> tuple[str, ...]:
+    points = tuple(points)
+    if not points:
+        raise ValidationError("space must have at least one point (empty spaces are rejected)")
+    if len(set(points)) != len(points):
+        raise ValidationError("point labels must be distinct")
+    if any(not isinstance(p, str) or not p for p in points):
+        raise ValidationError("point labels must be nonempty strings")
+    return points
+
+
 @dataclass(frozen=True)
 class FiniteSpace:
     """A finite T0 space: a carrier plus its full open-set family."""
@@ -232,14 +230,8 @@ class FiniteSpace:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
-        points = tuple(self.points)
+        points = _checked_points(self.points)
         object.__setattr__(self, "points", points)
-        if not points:
-            raise ValidationError("space must have at least one point (empty spaces are rejected)")
-        if len(set(points)) != len(points):
-            raise ValidationError("point labels must be distinct")
-        if any(not isinstance(p, str) or not p for p in points):
-            raise ValidationError("point labels must be nonempty strings")
         n = len(points)
         full = (1 << n) - 1
         opens = canonical_masks(self.opens)
@@ -274,6 +266,19 @@ class FiniteSpace:
             )
         object.__setattr__(self, "_up_masks", tuple(up))
 
+    @classmethod
+    def _of_order(cls, points: Sequence[str], up_rows: Sequence[int],
+                  opens: Iterable[int], name: str = "") -> "FiniteSpace":
+        """The space of a partial order, given by its rows (row i is the set
+        above i) and all of its upper sets; the order and the opens are
+        trusted, so only the labels are checked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "points", _checked_points(points))
+        object.__setattr__(out, "opens", canonical_masks(opens))
+        object.__setattr__(out, "name", name)
+        object.__setattr__(out, "_up_masks", tuple(up_rows))
+        return out
+
     def _check_t0(self, up: Sequence[int]) -> None:
         seen: dict[int, int] = {}
         for i, m in enumerate(up):
@@ -305,10 +310,6 @@ class FiniteSpace:
     def closed_sets(self) -> tuple[int, ...]:
         full = self.full_mask
         return canonical_masks(full ^ u for u in self.opens)
-
-    @cached_property
-    def closed_set_lookup(self) -> frozenset[int]:
-        return frozenset(self.closed_sets)
 
     @property
     def up_masks(self) -> tuple[int, ...]:
@@ -397,7 +398,7 @@ def from_poset(p: FinitePoset, caps: Caps | None = None) -> FiniteSpace:
     ups = _upper_sets(p.leq, limit=caps.max_opens)
     if ups is None:
         raise ResourceCapError(f"open lattice exceeds cap {caps.max_opens}")
-    return FiniteSpace(p.elements, ups)
+    return FiniteSpace._of_order(p.elements, p.leq, ups)
 
 
 def specialization_order(x: FiniteSpace) -> FinitePoset:
@@ -418,9 +419,11 @@ class ContinuityReport(NamedTuple):
 class ContinuousMap:
     """A total point function between finite spaces.
 
-    Construction validates totality only; use `check_continuous` to test the
-    open-preimage property, or the `continuous_map` factory to require it.
-    Every map produced by library operations satisfies it.
+    Construction validates totality only; use `check_continuous` to test
+    continuity, or the `continuous_map` factory to require it.  Between
+    finite (hence Alexandrov) spaces a map is continuous iff it is monotone
+    for the specialization orders.  Every map produced by library operations
+    is continuous.
     """
 
     source: FiniteSpace
@@ -462,13 +465,6 @@ class ContinuousMap:
     def is_injective(self) -> bool:
         return len(set(self.mapping)) == len(self.mapping)
 
-    def is_monotone(self) -> bool:
-        for i in range(self.source.n):
-            for j in bit_indices(self.source.up_masks[i]):
-                if not self.target.leq(self.mapping[i], self.mapping[j]):
-                    return False
-        return True
-
 
 def identity_map(x: FiniteSpace) -> ContinuousMap:
     return ContinuousMap(x, x, tuple(range(x.n)))
@@ -492,27 +488,56 @@ def continuous_map(source: FiniteSpace, target: FiniteSpace,
 
 
 def check_continuous(f: ContinuousMap) -> ContinuityReport:
-    """True iff every open preimage is open; else reports an offending open."""
-    for u in f.target.opens:
-        if not f.source.is_open(f.preimage_mask(u)):
-            return ContinuityReport(False, u)
+    """True iff the map is monotone, which for finite spaces is continuity.
+
+    When i <= j but f(i) is not below f(j), the witness is the least open
+    up(f(i)) of the target: its preimage holds i but not j, so it is not open.
+    """
+    y_up, mapping = f.target.up_masks, f.mapping
+    for i, row in enumerate(f.source.up_masks):
+        up = y_up[mapping[i]]
+        for j in bit_indices(row):
+            if not up >> mapping[j] & 1:
+                return ContinuityReport(False, up)
     return ContinuityReport(True, None)
 
 
 def enumerate_continuous_maps(x: FiniteSpace, y: FiniteSpace,
                               caps: Caps | None = None) -> list[ContinuousMap]:
-    """All continuous maps x -> y, in lexicographic order of their point tables."""
+    """All continuous maps x -> y, in lexicographic order of their point tables.
+
+    These are the monotone maps: points are assigned in index order, and
+    point i ranges over the target points above the images of the earlier
+    points below it and below the images of the earlier points above it.
+    The cap still bounds y.n ** x.n, the number of all functions.
+    """
     caps = caps or default_caps()
     total = y.n ** x.n
     if total > caps.max_maps:
         raise ResourceCapError(
             f"{total} candidate functions exceed the map enumeration cap {caps.max_maps}"
         )
+    n = x.n
+    earlier_below = [x.down_masks[i] & ((1 << i) - 1) for i in range(n)]
+    earlier_above = [x.up_masks[i] & ((1 << i) - 1) for i in range(n)]
+    y_up, y_down = y.up_masks, y.down_masks
+    table = [0] * n
     out = []
-    for combo in itertools.product(range(y.n), repeat=x.n):
-        f = ContinuousMap(x, y, combo)
-        if check_continuous(f).ok:
-            out.append(f)
+
+    def assign(i: int) -> None:
+        if i == n:
+            out.append(ContinuousMap(x, y, table))
+            return
+        allowed = y.full_mask
+        for k in bit_indices(earlier_below[i]):
+            allowed &= y_up[table[k]]
+        for k in bit_indices(earlier_above[i]):
+            allowed &= y_down[table[k]]
+        for v in bit_indices(allowed):
+            table[i] = v
+            assign(i + 1)
+
+    assign(0)
     return out
 
 
@@ -520,19 +545,25 @@ def enumerate_continuous_maps(x: FiniteSpace, y: FiniteSpace,
 # homeomorphism search
 
 
-def _refine_fingerprints(x: FiniteSpace) -> list[int]:
-    fps: list = [(x.down_masks[i].bit_count(), x.up_masks[i].bit_count())
-                 for i in range(x.n)]
+def _refined_signatures(x: FiniteSpace, y: FiniteSpace) -> list[list]:
+    """Iterated neighbourhood signatures of the points of both spaces.
+
+    Each round numbers the signatures of both spaces from one table, so
+    equal ids mean equal signatures; an order isomorphism preserves them.
+    """
+    spaces = (x, y)
+    ids = [[(s.down_masks[i].bit_count(), s.up_masks[i].bit_count()) for i in range(s.n)]
+           for s in spaces]
     for _ in range(3):
         table: dict = {}
-        nxt = []
-        for i in range(x.n):
-            sig = (fps[i],
-                   tuple(sorted(fps[j] for j in bit_indices(x.up_masks[i]))),
-                   tuple(sorted(fps[j] for j in bit_indices(x.down_masks[i]))))
-            nxt.append(table.setdefault(sig, len(table)))
-        fps = nxt
-    return fps
+        for k, s in enumerate(spaces):
+            prev = ids[k]
+            ids[k] = [table.setdefault((prev[i],
+                                        tuple(sorted(prev[j] for j in bit_indices(s.up_masks[i]))),
+                                        tuple(sorted(prev[j] for j in bit_indices(s.down_masks[i])))),
+                                       len(table))
+                      for i in range(s.n)]
+    return ids
 
 
 def find_homeomorphism(x: FiniteSpace, y: FiniteSpace,
@@ -541,8 +572,9 @@ def find_homeomorphism(x: FiniteSpace, y: FiniteSpace,
 
     Both spaces are finite, hence Alexandrov, so a bijection is a
     homeomorphism iff it is an order isomorphism of the specialization
-    orders; the search runs over those, pruned by iterated neighbourhood
-    fingerprints, and re-verifies the open families at the end.
+    orders.  The search matches each point only with the points of equal
+    refined signature, and accepts a value only when it agrees with every
+    earlier assignment on the order in both directions.
     """
     caps = caps or default_caps()
     if x.n != y.n or len(x.opens) != len(y.opens):
@@ -551,23 +583,10 @@ def find_homeomorphism(x: FiniteSpace, y: FiniteSpace,
         raise ResourceCapError(
             f"homeomorphism search is bounded to {caps.max_iso_points} points"
         )
-    fx, fy = _refine_fingerprints(x), _refine_fingerprints(y)
-    # fingerprints are table indices local to each space; compare by class sizes
-    def classes(fps):
-        out: dict = {}
-        for i, f in enumerate(fps):
-            out.setdefault(f, []).append(i)
-        return out
-
-    cx, cy = classes(fx), classes(fy)
-    if sorted(len(v) for v in cx.values()) != sorted(len(v) for v in cy.values()):
+    fx, fy = _refined_signatures(x, y)
+    if sorted(fx) != sorted(fy):
         return None
-
-    candidates: list[list[int]] = []
-    for i in range(x.n):
-        size = len(cx[fx[i]])
-        cands = [j for j in range(y.n) if len(cy[fy[j]]) == size]
-        candidates.append(cands)
+    candidates = [[j for j in range(y.n) if fy[j] == fx[i]] for i in range(x.n)]
     order = sorted(range(x.n), key=lambda i: len(candidates[i]))
 
     assign = [-1] * x.n
@@ -595,14 +614,7 @@ def find_homeomorphism(x: FiniteSpace, y: FiniteSpace,
                 assign[i] = -1
         return False
 
-    if not backtrack(0):
-        return None
-    phi = tuple(assign)
-    f = ContinuousMap(x, y, phi)
-    for u in x.opens:
-        if not y.is_open(f.image_mask(u)):
-            return None
-    return phi
+    return tuple(assign) if backtrack(0) else None
 
 
 def is_homeomorphic(x: FiniteSpace, y: FiniteSpace, caps: Caps | None = None) -> bool:

@@ -69,9 +69,6 @@ class ClosedFamily:
     def member_set(self) -> frozenset[int]:
         return frozenset(self.members)
 
-    def relabel(self, label: str) -> "ClosedFamily":
-        return ClosedFamily(self.base, self.members, label)
-
 
 def diamond(g: ClosedFamily, a: int) -> int:
     """Index mask of members meeting `a` (canonical member ordering)."""
@@ -177,7 +174,7 @@ def lower_vietoris(g: ClosedFamily, caps: Caps | None = None) -> HyperSpace:
     if opens is None:
         raise ResourceCapError("hyperspace open lattice exceeds cap")
     name = f"P_H({g.label or 'G'})" + (f"@{g.base.name}" if g.base.name else "")
-    space = FiniteSpace(_member_labels(g), opens, name=name)
+    space = FiniteSpace._of_order(_member_labels(g), rows, opens, name=name)
     return HyperSpace(g, space)
 
 
@@ -224,7 +221,8 @@ def smyth_power(x: FiniteSpace, caps: Caps | None = None) -> SmythSpace:
     if opens is None:
         raise ResourceCapError("Smyth power open lattice exceeds cap")
     labels = tuple(x.render_subset(m) for m in members)
-    space = FiniteSpace(labels, opens, name=f"P_S({x.name})" if x.name else "P_S")
+    space = FiniteSpace._of_order(labels, rows, opens,
+                                  name=f"P_S({x.name})" if x.name else "P_S")
     return SmythSpace(x, members, space)
 
 

@@ -154,17 +154,19 @@ def universal_property_report(x: FiniteSpace, c: CategoryTag,
                               caps: Caps | None = None) -> UniversalPropertyReport:
     """For every continuous map from `x` into each target, count the
     continuous factorizations through the embedding; exactly one must exist.
-    Targets default to the catalog of sober spaces on at most 4 points."""
+    Targets default to the catalog of sober spaces on at most 4 points, which
+    belong to every category; targets passed in are checked for membership."""
     caps = caps or default_caps()
+    check_targets = targets is not None
     if targets is None:
-        targets = sober_target_catalog(4, caps)
+        targets = sober_target_catalog(4)
     r = reflect(x, c, caps)
     eta_table = r.embedding.mapping
     maps_tested = 0
     unique = 0
     violations: list[str] = []
     for y in targets:
-        if not _satisfies(y, c, caps):
+        if check_targets and not _satisfies(y, c, caps):
             raise ValidationError(
                 f"target {y.name or y.points} is not a {c.value}-space"
             )
@@ -200,19 +202,17 @@ def _catalog(max_points: int) -> tuple[FiniteSpace, ...]:
             space = from_poset(poset)
             if not any(s.n == n and is_homeomorphic(s, space) for s in kept):
                 kept.append(space.renamed(f"sober{n}.{len(kept)}"))
+    for space in kept:
+        if not _satisfies(space, CategoryTag.SOBRIETY, None):
+            raise ContractViolation("catalog space failed the sobriety predicate")
     return tuple(kept)
 
 
-def sober_target_catalog(max_points: int = 4,
-                         caps: Caps | None = None) -> tuple[FiniteSpace, ...]:
+def sober_target_catalog(max_points: int = 4) -> tuple[FiniteSpace, ...]:
     """All T0 spaces on up to `max_points` points, one per homeomorphism
-    class; finite T0 spaces are sober, and each entry is verified to be."""
-    caps = caps or default_caps()
-    catalog = _catalog(max_points)
-    for space in catalog:
-        if not _satisfies(space, CategoryTag.SOBRIETY, caps):
-            raise ContractViolation("catalog space failed the sobriety predicate")
-    return catalog
+    class; finite T0 spaces are sober, and each entry is verified to be
+    when the catalog is first built."""
+    return _catalog(max_points)
 
 
 # ---------------------------------------------------------------------------

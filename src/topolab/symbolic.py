@@ -118,10 +118,6 @@ class SymbolicClosed:
                 raise ValidationError("finite-set descriptor needs a nonempty finite set")
 
 
-def closed_empty() -> SymbolicClosed:
-    return SymbolicClosed("empty")
-
-
 def closed_down(n: int) -> SymbolicClosed:
     return SymbolicClosed("down", n=n)
 
@@ -163,16 +159,6 @@ def open_up(n: int) -> SymbolicOpen:
 
 def open_cofinite(excluded=()) -> SymbolicOpen:
     return SymbolicOpen("cofinite", excluded=frozenset(excluded))
-
-
-def _check_chain(space: SymbolicSpace) -> None:
-    if space.variant not in CHAIN_VARIANTS:
-        raise UnsupportedSpaceError("descriptor belongs to the chain variants")
-
-
-def _check_cofinite(space: SymbolicSpace) -> None:
-    if space.variant not in COFINITE_VARIANTS:
-        raise UnsupportedSpaceError("descriptor belongs to the cofinite variants")
 
 
 def open_complement(space: SymbolicSpace, c: SymbolicClosed) -> SymbolicOpen:

@@ -20,6 +20,7 @@ from topolab import (
     identity_map,
     is_homeomorphic,
     random_space,
+    sober_target_catalog,
     specialization_order,
 )
 from topolab.caps import Caps
@@ -272,8 +273,46 @@ def test_enumeration_cap():
 def test_continuous_maps_are_monotone():
     x = random_space(21, 4)
     y = random_space(22, 4)
-    for f in enumerate_continuous_maps(x, y):
-        assert f.is_monotone()
+    maps = enumerate_continuous_maps(x, y)
+    assert [f.mapping for f in maps] == enumerate_by_filtering(x, y)
+    for f in maps:
+        assert all(y.leq(f.mapping[i], f.mapping[j])
+                   for i in range(x.n) for j in range(x.n) if x.leq(i, j))
+
+
+def relabeled(x, perm):
+    """x with its point i renamed and moved to the index perm.index(i)."""
+    return from_poset(FinitePoset(tuple(x.points[k] + "x" for k in perm),
+                                  tuple_rows(specialization_order(x), perm)))
+
+
+def small_spaces_and_extremes():
+    """The catalog spaces on at most 3 points, each also with its indices
+    reversed (so that earlier points lie above later ones), a 4-antichain
+    and a descending 4-chain."""
+    labels = ("a", "b", "c", "d")
+    small = [s for s in sober_target_catalog(4) if s.n <= 3]
+    return small + [relabeled(s, range(s.n)[::-1]) for s in small] + [
+        from_poset(FinitePoset.from_pairs(labels, [])),
+        from_poset(FinitePoset.from_pairs(labels, zip(labels[1:], labels))),
+    ]
+
+
+def test_map_layer_agrees_with_the_preimage_oracle():
+    spaces = small_spaces_and_extremes()
+    for x, y in itertools.product(spaces, repeat=2):
+        oracle = enumerate_by_filtering(x, y)
+        assert [f.mapping for f in enumerate_continuous_maps(x, y)] == oracle
+        continuous = set(oracle)
+        for combo in itertools.product(range(y.n), repeat=x.n):
+            report = check_continuous(ContinuousMap(x, y, combo))
+            assert report.ok == (combo in continuous)
+            if report.ok:
+                assert report.witness_open is None
+            else:
+                assert y.is_open(report.witness_open)
+                preimage = ContinuousMap(x, y, combo).preimage_mask(report.witness_open)
+                assert not x.is_open(preimage)
 
 
 def test_map_composition_and_images(vee, sierpinski):
@@ -301,6 +340,31 @@ def test_homeomorphism_distinguishes_vee_and_wedge(spaces):
     assert is_homeomorphic(spaces["vee"], spaces["vee"])
 
 
+def test_homeomorphism_carries_opens_onto_opens():
+    for x in sober_target_catalog(4):
+        for perm in itertools.permutations(range(x.n)):
+            y = relabeled(x, perm)
+            phi = find_homeomorphism(x, y)
+            assert sorted(phi) == list(range(y.n))
+            f = ContinuousMap(x, y, phi)
+            assert {f.image_mask(u) for u in x.opens} == set(y.opens)
+
+
+def test_homeomorphism_rejects_equal_signature_class_sizes(spaces):
+    """vee and wedge have the same number of points and of opens, and their
+    neighbourhood signatures fall into classes of the same sizes (one of
+    size 2, one of size 1); only the signatures themselves differ."""
+    vee, wedge = spaces["vee"], spaces["wedge"]
+
+    def class_sizes(x):
+        sig = [(x.down_masks[i].bit_count(), x.up_masks[i].bit_count()) for i in range(x.n)]
+        return sorted(sig.count(s) for s in set(sig))
+
+    assert (vee.n, len(vee.opens), class_sizes(vee)) == (wedge.n, len(wedge.opens), class_sizes(wedge))
+    assert find_homeomorphism(vee, wedge) is None
+    assert find_homeomorphism(wedge, vee) is None
+
+
 def test_homeomorphism_cap():
     x = random_space(1, 6)
     with pytest.raises(ResourceCapError):
@@ -309,13 +373,7 @@ def test_homeomorphism_cap():
 
 def test_homeomorphism_on_shuffled_random_spaces():
     base = random_space(77, 6)
-    poset = specialization_order(base)
-    perm = [3, 0, 5, 1, 4, 2]
-    relabeled = FinitePoset(
-        tuple(base.points[perm[i]] + "x" for i in range(6)),
-        tuple_rows(poset, perm),
-    )
-    assert is_homeomorphic(base, from_poset(relabeled))
+    assert is_homeomorphic(base, relabeled(base, [3, 0, 5, 1, 4, 2]))
 
 
 def tuple_rows(poset, perm):

@@ -1,6 +1,8 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and no private module-level function goes unreferenced."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,3 +46,32 @@ def test_no_unused_module_imports(path):
     unused = [f"{name} (line {line})"
               for name, line in _imported_names(tree).items() if name not in used]
     assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
+
+
+def _references(tree: ast.AST) -> Counter:
+    """Names read, attributes taken and names imported under `tree`."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_private_functions_are_referenced():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    refs = Counter()
+    for tree in trees.values():
+        refs.update(_references(tree))
+    unreferenced = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                # a function that only calls itself is still dead
+                if refs[node.name] == _references(node)[node.name]:
+                    unreferenced.append(f"{name}: {node.name} (line {node.lineno})")
+    assert not unreferenced, f"private functions never referenced: {', '.join(unreferenced)}"

@@ -4,6 +4,7 @@ import pytest
 
 from topolab import (
     ClosedFamily,
+    FiniteSpace,
     ResourceCapError,
     ValidationError,
     box,
@@ -95,6 +96,10 @@ def test_lower_vietoris_preconditions(sierpinski):
     big = random_space(4, 8, Caps(max_points=8))
     with pytest.raises(ResourceCapError):
         lower_vietoris(point_closures(big))
+    # {a} u {b} and the point "a,b" both render as "{a,b}"
+    clash = FiniteSpace(("a", "b", "a,b"), range(8))
+    with pytest.raises(ValidationError, match="distinct"):
+        lower_vietoris(ClosedFamily(clash, range(1, 8)))
 
 
 # ---------------------------------------------------------------------------
