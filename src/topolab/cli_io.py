@@ -62,7 +62,6 @@ from .products_properties import (
     check_smyth_category,
     predicates,
     product,
-    satisfies_category,
 )
 from .reflections import (
     Reflection,
@@ -70,6 +69,7 @@ from .reflections import (
     reflect,
     universal_property_report,
 )
+from . import oracles
 from . import symbolic as sym
 from .symbolic import (
     COFINITE,
@@ -569,6 +569,13 @@ class SuiteResult:
         self.skipped += 1
         self.notes.append(f"skipped: {note}")
 
+    def record(self, verdict: oracles.Verdict, note: str) -> None:
+        """Count an oracle verdict: passed, failed, or skipped with its reason."""
+        if verdict.holds is None:
+            self.skip(f"{note}: {verdict.reason}")
+        else:
+            self.check(verdict.holds, f"{note}: {verdict.reason}")
+
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -619,7 +626,11 @@ def suite_finite_collapse(cfg: VerifyConfig) -> SuiteResult:
             irr = frozenset(irreducible_closed(x).members)
             res.check(sc == dc, f"{x.name}: D_c differs from S_c")
             res.check(dc <= rd and rd <= irr, f"{x.name}: family chain broken")
-            res.check(rd == sc, f"{x.name}: RD differs from S_c")
+            cross = oracles.rudin_cross_check(x, rd)  # rides on the RD check
+            res.check(rd == sc and cross.holds is not False,
+                      f"{x.name}: RD differs from S_c or its oracle: {cross.reason}")
+            if cross.holds is None:
+                res.skip(f"{x.name}: Rudin cross-check: {cross.reason}")
             res.check(irr == sc, f"{x.name}: Irr_c differs from S_c")
             for c in cfg.categories:
                 kf = k_family(x, c).member_set()
@@ -767,7 +778,7 @@ def suite_product_theorems(cfg: VerifyConfig) -> SuiteResult:
                     res.check(is_homeomorphic(pr.gamma.source, pr.gamma.target, caps),
                               f"{x.name} x {y.name} [{c.value}]: search found no homeomorphism")
                 kp = check_kspace_product([x, y], c, caps)
-                res.check(kp.ok, f"{x.name} x {y.name} [{c.value}]: biconditional failed")
+                res.record(kp.verdict, f"{x.name} x {y.name} [{c.value}]: biconditional")
             except ResourceCapError as exc:
                 res.skip(f"{x.name} x {y.name} [{c.value}]: {exc}")
     sierpinski = zoo_space("sierpinski")
@@ -775,8 +786,9 @@ def suite_product_theorems(cfg: VerifyConfig) -> SuiteResult:
                         (CategoryTag.SOBRIETY, False),
                         (CategoryTag.WELL_FILTERED, False)):
         kp = check_kspace_product([COFINITE, sierpinski], c, cfg.caps)
-        res.check(kp.ok, f"cofinite x sierpinski [{c.value}]: biconditional failed")
-        res.check(kp.product_is_kspace is expected and kp.factors_are_kspaces is expected,
+        res.record(kp.verdict, f"cofinite x sierpinski [{c.value}]: biconditional")
+        res.check(kp.product_is_kspace.holds is expected
+                  and kp.factors_are_kspaces.holds is expected,
                   f"cofinite x sierpinski [{c.value}]: expected both sides {expected}")
     return res
 
@@ -821,8 +833,9 @@ def suite_rudin_witness(cfg: VerifyConfig) -> SuiteResult:
 
 def suite_transfer(cfg: VerifyConfig) -> SuiteResult:
     """Frame isomorphism between the opens of a space and of its reflection,
-    compactness transfer, predicate implication chains, and the Smyth power
-    checks for the sober and well-filtered categories."""
+    every predicate flag of both against its oracle (so the flags transfer),
+    symbolic compactness transfer, and the Smyth power checks for the sober
+    and well-filtered categories."""
     res = SuiteResult("transfer")
     rng = SplitMix64(cfg.seed ^ 0x7245F)
     spaces = [s for s in zoo().values() if isinstance(s, FiniteSpace)]
@@ -843,27 +856,16 @@ def suite_transfer(cfg: VerifyConfig) -> SuiteResult:
         )
         res.check(lattice_ok, f"{x.name}: diamond does not preserve unions/intersections")
 
-        rep = predicates(x)
-        recomputed_sober = frozenset(irreducible_closed(x).members) == frozenset(x.down_masks)
-        if cfg.mutate:
-            recomputed_sober = not recomputed_sober  # harness self-test
-        res.check(rep.sober == recomputed_sober,
-                  f"{x.name}: sober flag disagrees with the definitional recomputation")
-        res.check(rep.compact, f"{x.name}: finite space must be compact")
-
-        rr = predicates(r.space)
-        res.check(
-            (rep.locally_hypercompact, rep.c_space, rep.core_compact)
-            == (rr.locally_hypercompact, rr.c_space, rr.core_compact),
-            f"{x.name}: local-compactness style flags do not transfer")
-        res.check(rep.compact == rr.compact, f"{x.name}: compactness does not transfer")
-        res.check(rep.well_filtered and rep.locally_compact == rep.core_compact,
-                  f"{x.name}: locally compact and core compact must agree here")
-
+        for space in (x, r.space):
+            report = predicates(space)
+            for name, verdict in oracles.flag_verdicts(space).items():
+                # the mutation mode flips every flag: a harness self-test
+                res.record(verdict.expect(report.flag(name) != cfg.mutate),
+                           f"{space.name}: {name} flag against its oracle")
         for c in (CategoryTag.SOBRIETY, CategoryTag.WELL_FILTERED):
             try:
-                sm = check_smyth_category(x, c, cfg.caps)
-                res.check(sm.ok, f"{x.name}: Smyth power check failed for {c.value}")
+                res.record(check_smyth_category(x, c, cfg.caps),
+                           f"{x.name}: Smyth power check for {c.value}")
             except ResourceCapError as exc:
                 res.skip(f"{x.name}: {exc}")
     # symbolic compactness transfer and symbolic frame order-isomorphism
@@ -930,15 +932,16 @@ def suite_structural(cfg: VerifyConfig) -> SuiteResult:
         r2 = reflect(r.space, c, cfg.caps)
         res.check(is_homeomorphic(r2.space, r.space, cfg.caps),
                   f"{x.name}: reflection is not idempotent")
-        sober_refl = satisfies_category(r.space, CategoryTag.SOBRIETY, cfg.caps)
-        res.check(sober_refl == (kf == frozenset(irreducible_closed(x).members)),
-                  f"{x.name}: sobriety coincidence failed")
-        comp = d_completion(specialization_order(x), cfg.caps)
+        res.record(oracles.sober(r.space).expect(kf == irreducible_closed(x).member_set()),
+                   f"{x.name}: sobriety coincidence")
         rows = specialization_order(x)
+        comp = d_completion(rows, cfg.caps)
         res.check(
             comp.completed.n == rows.n
             and is_homeomorphic(from_poset(comp.completed), x, cfg.caps),
             f"{x.name}: dcpo completion is not an isomorphic copy")
+        res.record(oracles.dcpo_completion(rows, comp.completed, comp.unit),
+                   f"{x.name}: dcpo completion")
     # product irreducibility and closure-projection laws on small factors
     for _ in range(max(1, cfg.structural_samples // 2)):
         x = _sample_space(rng, 3, cfg.caps)
@@ -1002,7 +1005,8 @@ def verify(config: VerifyConfig | None = None) -> VerifyReport:
     suites = []
     for suite in SUITES:
         result = suite(config)
-        result.notes = result.notes[:20]
+        # failures before skips, so that many skips cannot hide a failure
+        result.notes = sorted(result.notes, key=lambda n: n.startswith("skipped: "))[:20]
         suites.append(result)
     return VerifyReport(config, tuple(suites))
 

@@ -8,10 +8,9 @@ attached to the sober / d-space / well-filtered categories.
 On a finite T0 space all of these collapse to the point closures: the space
 is itself sober (hence an object of each category), so applying the K-set
 condition to the identity map forces every closed K-set to be a point
-closure.  The enumerating operations here stay definitional so the collapse
-is something the test suite can observe rather than assume; only `k_family`
-uses the collapse argument directly, and the suite checks it against the
-definitional families.
+closure.  `k_family` uses that collapse directly; the other families are
+computed from their definitions (RD through the single-set reduction), and
+the enumerations that check them against S_c live in `oracles`.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .caps import Caps, default_caps
 from .core_space import (
@@ -58,17 +57,9 @@ def point_closures(x: FiniteSpace) -> ClosedFamily:
 
 
 def directed_closures(x: FiniteSpace) -> ClosedFamily:
-    """D_c: closures of the subsets directed under the specialization order.
-
-    Enumerates every directed subset as an internal oracle and asserts the
-    finite collapse D_c = S_c (a finite directed set has a maximum).
-    """
-    family = ClosedFamily(x, tuple(_directed_closure_masks(x)), label="D_c")
-    if family.member_set() != frozenset(x.down_masks):
-        raise ContractViolation(
-            "directed closures of a finite space must collapse to point closures"
-        )
-    return family
+    """D_c: closures of the subsets directed under the specialization order,
+    by enumeration; `oracles.d_space` compares it with S_c."""
+    return ClosedFamily(x, tuple(_directed_closure_masks(x)), label="D_c")
 
 
 def _directed_closure_masks(x: FiniteSpace) -> frozenset[int]:
@@ -169,9 +160,8 @@ def rudin_sets(x: FiniteSpace) -> RudinSets:
     A finite filtered family of compact saturated sets has a least member,
     so a closed set has the Rudin property iff it is minimal among the
     closed sets meeting some single nonempty compact saturated set.  The
-    single-set reduction is used here; on carriers of at most 5 points the
-    result is cross-checked against enumeration of filtered families of size
-    up to 3.
+    single-set reduction is used here; `oracles.rudin_cross_check` compares
+    it with the enumeration of filtered families.
     """
     witnesses: dict[int, RudinWitness] = {}
     for k in x.opens:  # saturated = upper = open; all finite sets are compact
@@ -180,33 +170,7 @@ def rudin_sets(x: FiniteSpace) -> RudinSets:
         for a in _minimal_meeting_all(x.closed_sets, (k,)):
             if a not in witnesses:
                 witnesses[a] = RudinWitness(x, (k,), a)
-    family = ClosedFamily(x, tuple(witnesses), label="RD")
-    if x.n <= 5:
-        oracle = rudin_sets_by_filtered_enumeration(x, max_size=3)
-        if family.member_set() != oracle:
-            raise ContractViolation(
-                "single-set reduction disagrees with filtered-family enumeration"
-            )
-    return RudinSets(family, witnesses)
-
-
-def _filtered_families(q: Sequence[int], max_size: int) -> Iterator[tuple[int, ...]]:
-    """Every filtered family of at most `max_size` members of `q`: the
-    intersection of any two members contains some member."""
-    for size in range(1, max_size + 1):
-        for combo in itertools.combinations(q, size):
-            if all(any(m & ~(a & b) == 0 for m in combo)
-                   for a, b in itertools.combinations(combo, 2)):
-                yield combo
-
-
-def rudin_sets_by_filtered_enumeration(x: FiniteSpace, max_size: int = 3) -> frozenset[int]:
-    """Oracle for `rudin_sets`: union of the minimal meeting sets over every
-    filtered family of compact saturated sets of size at most `max_size`."""
-    found: set[int] = set()
-    for combo in _filtered_families([u for u in x.opens if u], max_size):
-        found.update(_minimal_meeting_all(x.closed_sets, combo))
-    return frozenset(found)
+    return RudinSets(ClosedFamily(x, tuple(witnesses), label="RD"), witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ diamond(U) = {G : G meets U} coincides with the family of all upper sets of
 (G, set inclusion): the generated topology is a finite topology, hence
 Alexandrov, and its specialization order is inclusion because the members
 are closed.  The builders therefore materialize the open lattice from the
-inclusion order; `diamond_lattice` performs the raw subbase closure so tests
-can confirm the two agree.
+inclusion order; `oracles.diamond_lattice` and `oracles.box_lattice` perform
+the raw subbase closures so tests can confirm the two agree.
 """
 
 from __future__ import annotations
@@ -86,41 +86,6 @@ def box(g: ClosedFamily | SmythSpace, a: int) -> int:
         if m & ~a == 0:
             out |= 1 << k
     return out
-
-
-def diamond_lattice(g: ClosedFamily, caps: Caps | None = None) -> tuple[int, ...]:
-    """Raw lattice closure of {diamond(U)} under intersections then unions.
-
-    This is the definitional open family of P_H(G); the hyperspace builder
-    uses the provably-equal upper-set form, and tests compare the two.
-    """
-    caps = caps or default_caps()
-    family = {diamond(g, u) for u in g.base.opens}
-    changed = True
-    while changed:
-        changed = False
-        items = sorted(family)
-        for i, a in enumerate(items):
-            for b in items[i + 1:]:
-                c = a & b
-                if c not in family:
-                    family.add(c)
-                    changed = True
-        if len(family) > caps.max_opens:
-            raise ResourceCapError("hyperspace open lattice exceeds cap")
-    changed = True
-    while changed:
-        changed = False
-        items = sorted(family)
-        for i, a in enumerate(items):
-            for b in items[i + 1:]:
-                c = a | b
-                if c not in family:
-                    family.add(c)
-                    changed = True
-        if len(family) > caps.max_opens:
-            raise ResourceCapError("hyperspace open lattice exceeds cap")
-    return canonical_masks(family)
 
 
 def _member_labels(g: ClosedFamily) -> tuple[str, ...]:
@@ -224,26 +189,6 @@ def smyth_power(x: FiniteSpace, caps: Caps | None = None) -> SmythSpace:
     space = FiniteSpace._of_order(labels, rows, opens,
                                   name=f"P_S({x.name})" if x.name else "P_S")
     return SmythSpace(x, members, space)
-
-
-def box_lattice(s: SmythSpace, caps: Caps | None = None) -> tuple[int, ...]:
-    """Definitional open family of P_S: unions of the box subbasis (which is
-    already closed under intersection).  For test cross-checks."""
-    caps = caps or default_caps()
-    family = {box(s, u) for u in s.base.opens}
-    changed = True
-    while changed:
-        changed = False
-        items = sorted(family)
-        for i, a in enumerate(items):
-            for b in items[i + 1:]:
-                c = a | b
-                if c not in family:
-                    family.add(c)
-                    changed = True
-        if len(family) > caps.max_opens:
-            raise ResourceCapError("Smyth power open lattice exceeds cap")
-    return canonical_masks(family)
 
 
 def eta(g: ClosedFamily, hyper: HyperSpace | None = None,

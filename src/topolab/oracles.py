@@ -1,0 +1,251 @@
+"""Definitional oracles for `verify` and the tests.
+
+The production path decides the properties of a finite T0 space by the
+finite theorems (see `products_properties.predicates`).  The checks here
+re-derive them from the definitions by enumeration, so that a theorem
+checker never uses the theorem it checks; no module on the production path
+imports this one.  A membership oracle returns a Verdict: passed, failed,
+or skipped with a reason naming the budget below that stopped it.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, Sequence
+
+from .caps import Caps, default_caps
+from .core_space import FinitePoset, FiniteSpace, bit_indices, canonical_masks, mask_key
+from .errors import ResourceCapError
+from .families import (
+    CategoryTag,
+    _directed_closure_masks,
+    _minimal_meeting_all,
+    irreducible_closed,
+)
+from .hyperspaces import ClosedFamily, SmythSpace, box, diamond
+
+SOBER_BUDGET = 250_000        # |closed sets|^2: pairs tested for irreducibility
+D_SPACE_BUDGET = 2_000_000    # 2^n * n^2: subsets tested for directedness
+WF_MAX_COMPACTS = 32          # nonempty compact saturated sets in the sweep
+WF_MAX_FAMILY = 3             # members of each filtered family in the sweep
+LOCAL_BUDGET = 2_000_000      # n * |opens| and |opens|^2: pairs tested
+RUDIN_MAX_POINTS = 5          # carrier size of the filtered-family Rudin check
+DCPO_MAX_POINTS = 10          # poset size of the 2^n directed-subset checks
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """The outcome of an oracle: `holds` is True (passed), False (failed) or
+    None (skipped, and `reason` names the budget that stopped it)."""
+
+    holds: Optional[bool]
+    reason: str
+
+    def expect(self, value: bool) -> Verdict:
+        """The verdict of comparing this oracle's answer with `value`."""
+        if self.holds is None:
+            return self
+        return Verdict(self.holds == value, f"oracle {self.holds}: {self.reason}")
+
+
+def _over(measure: str, size: int, budget: int) -> Verdict:
+    return Verdict(None, f"{measure} = {size} exceeds the budget {budget}")
+
+
+def conjunction(verdicts: Iterable[Verdict]) -> Verdict:
+    """Every verdict holds: failed if one fails, else skipped if one skipped."""
+    verdicts = list(verdicts)
+    for state in (False, None):
+        for v in verdicts:
+            if v.holds is state:
+                return v
+    return Verdict(True, "; ".join(v.reason for v in verdicts))
+
+
+# ---------------------------------------------------------------------------
+# membership and property oracles
+
+
+def sober(x: FiniteSpace) -> Verdict:
+    """Every irreducible closed set is the closure of exactly one point."""
+    work = len(x.closed_sets) ** 2
+    if work > SOBER_BUDGET:
+        return _over("|closed sets|^2", work, SOBER_BUDGET)
+    for a in irreducible_closed(x).members:
+        if x.down_masks.count(a) != 1:
+            return Verdict(False, f"irreducible closed {x.render_subset(a)} has "
+                                  f"{x.down_masks.count(a)} generic points")
+    return Verdict(True, "every irreducible closed set is a unique point closure")
+
+
+def d_space(x: FiniteSpace) -> Verdict:
+    """The closure of every directed subset is a point closure."""
+    work = (1 << x.n) * x.n * x.n
+    if work > D_SPACE_BUDGET:
+        return _over("2^n * n^2", work, D_SPACE_BUDGET)
+    extra = _directed_closure_masks(x) - frozenset(x.down_masks)
+    if extra:
+        a = min(extra, key=mask_key)
+        return Verdict(False, f"directed closure {x.render_subset(a)} is not a point closure")
+    return Verdict(True, "directed closures collapse to point closures")
+
+
+def _filtered_families(q: Sequence[int], max_size: int) -> Iterator[tuple[int, ...]]:
+    """Every filtered family of at most `max_size` members of `q`: the
+    intersection of any two members contains some member."""
+    for size in range(1, max_size + 1):
+        for combo in itertools.combinations(q, size):
+            if all(any(m & ~(a & b) == 0 for m in combo)
+                   for a, b in itertools.combinations(combo, 2)):
+                yield combo
+
+
+def well_filtered(x: FiniteSpace) -> Verdict:
+    """Sweep every filtered family of at most WF_MAX_FAMILY compact saturated
+    sets: an open containing the intersection must contain a member."""
+    q = [u for u in x.opens if u]  # saturated = upper = open; finite sets are compact
+    if len(q) > WF_MAX_COMPACTS:
+        return _over("|Q|", len(q), WF_MAX_COMPACTS)
+    count = 0
+    for combo in _filtered_families(q, WF_MAX_FAMILY):
+        count += 1
+        inter = x.full_mask
+        for k in combo:
+            inter &= k
+        for u in x.opens:
+            if inter & ~u == 0 and not any(k & ~u == 0 for k in combo):
+                return Verdict(False, f"violating family {[x.render_subset(k) for k in combo]}")
+    return Verdict(True, f"sweep over {count} filtered families agreed")
+
+
+def compact(x: FiniteSpace) -> Verdict:
+    """Every open cover has a finite subcover."""
+    return Verdict(True, f"an open cover is a set of the {len(x.opens)} opens, so finite")
+
+
+def local_compactness(x: FiniteSpace) -> Verdict:
+    """C-space, locally hypercompact and locally compact at once: for each
+    point i of each open u, the principal upper set of i (finite, hence
+    compact, and saturated) fits inside u with i in its interior."""
+    work = x.n * len(x.opens)
+    if work > LOCAL_BUDGET:
+        return _over("n * |opens|", work, LOCAL_BUDGET)
+    for i, up_i in enumerate(x.up_masks):
+        for u in x.opens:
+            if u >> i & 1 and not (up_i & ~u == 0 and x.interior(up_i) >> i & 1):
+                return Verdict(False, f"no principal upper set fits between "
+                                      f"{x.points[i]} and {x.render_subset(u)}")
+    return Verdict(True, "each principal upper set fits inside the opens of its point")
+
+
+def core_compact(x: FiniteSpace) -> Verdict:
+    """Every open is the union of the opens way below it.  A directed family
+    of opens of a finite space contains its union, so u is way below v iff
+    u is a subset of v."""
+    work = len(x.opens) ** 2
+    if work > LOCAL_BUDGET:
+        return _over("|opens|^2", work, LOCAL_BUDGET)
+    for v in x.opens:
+        union = 0
+        for u in x.opens:
+            if u & ~v == 0:
+                union |= u
+        if union != v:
+            return Verdict(False, f"{x.render_subset(v)} is not the union of its way-below opens")
+    return Verdict(True, "every open is the union of its way-below opens")
+
+
+def category(x: FiniteSpace, c: CategoryTag) -> Verdict:
+    """Membership of `x` in the category `c`, from its definition."""
+    return {CategoryTag.SOBRIETY: sober, CategoryTag.D_SPACE: d_space,
+            CategoryTag.WELL_FILTERED: well_filtered}[c](x)
+
+
+def flag_verdicts(x: FiniteSpace) -> dict[str, Verdict]:
+    """The oracle verdict for each flag of a property report."""
+    local = local_compactness(x)
+    return {"sober": sober(x), "d_space": d_space(x), "well_filtered": well_filtered(x),
+            "compact": compact(x), "locally_hypercompact": local, "c_space": local,
+            "core_compact": core_compact(x), "locally_compact": local}
+
+
+# ---------------------------------------------------------------------------
+# Rudin sets
+
+
+def rudin_sets_by_filtered_enumeration(x: FiniteSpace, max_size: int = 3) -> frozenset[int]:
+    """Union of the minimal meeting sets over every filtered family of
+    compact saturated sets of size at most `max_size`."""
+    found: set[int] = set()
+    for combo in _filtered_families([u for u in x.opens if u], max_size):
+        found.update(_minimal_meeting_all(x.closed_sets, combo))
+    return frozenset(found)
+
+
+def rudin_cross_check(x: FiniteSpace, rd: frozenset[int]) -> Verdict:
+    """`rd`, the Rudin sets by the single-set reduction, equals the
+    enumeration over filtered families of size up to 3."""
+    if x.n > RUDIN_MAX_POINTS:
+        return _over("n", x.n, RUDIN_MAX_POINTS)
+    agree = rudin_sets_by_filtered_enumeration(x) == rd
+    return Verdict(agree, "single-set reduction " + ("agrees with" if agree else "disagrees with")
+                   + " filtered-family enumeration")
+
+
+# ---------------------------------------------------------------------------
+# raw hyperspace lattices
+
+
+def _close(family: set[int], op, caps: Caps, what: str) -> set[int]:
+    """The closure of `family` under the binary operation `op`."""
+    while True:
+        grown = family | {op(a, b) for a in family for b in family}
+        if len(grown) > caps.max_opens:
+            raise ResourceCapError(f"{what} open lattice exceeds cap")
+        if len(grown) == len(family):
+            return family
+        family = grown
+
+
+def diamond_lattice(g: ClosedFamily, caps: Caps | None = None) -> tuple[int, ...]:
+    """The definitional open family of P_H(G): {diamond(U)} closed under
+    intersections, then unions."""
+    caps = caps or default_caps()
+    family = _close({diamond(g, u) for u in g.base.opens}, int.__and__, caps, "hyperspace")
+    return canonical_masks(_close(family, int.__or__, caps, "hyperspace"))
+
+
+def box_lattice(s: SmythSpace, caps: Caps | None = None) -> tuple[int, ...]:
+    """The definitional open family of P_S: unions of the box subbasis
+    (which is already closed under intersection)."""
+    caps = caps or default_caps()
+    return canonical_masks(_close({box(s, u) for u in s.base.opens}, int.__or__, caps,
+                                  "Smyth power"))
+
+
+# ---------------------------------------------------------------------------
+# dcpo completion
+
+
+def _sup_of_directed(p: FinitePoset, mask: int) -> Optional[int]:
+    return next((i for i in bit_indices(mask) if mask & ~p.down_rows[i] == 0), None)
+
+
+def dcpo_completion(p: FinitePoset, q: FinitePoset, unit: tuple[int, ...]) -> Verdict:
+    """`q` is a dcpo and the map `unit` from `p` to `q` preserves directed
+    suprema: every directed subset of either poset has a supremum (on a
+    finite poset, a maximum), and `unit` sends each one of `p` to that of
+    the image."""
+    if max(p.n, q.n) > DCPO_MAX_POINTS:
+        return _over("n", max(p.n, q.n), DCPO_MAX_POINTS)
+    for mask in range(1, 1 << q.n):
+        if q.is_directed_subset(mask) and _sup_of_directed(q, mask) is None:
+            return Verdict(False, "a directed subset of the completion has no supremum")
+    for mask in range(1, 1 << p.n):
+        if p.is_directed_subset(mask):
+            sup = _sup_of_directed(p, mask)
+            image = sum(1 << k for k in {unit[i] for i in bit_indices(mask)})
+            if sup is None or _sup_of_directed(q, image) != unit[sup]:
+                return Verdict(False, "the unit does not preserve a directed supremum")
+    return Verdict(True, "the unit preserves the directed suprema of a dcpo")

@@ -5,6 +5,11 @@ The product of finitely many finite spaces carries the box-generated
 topology; on finite carriers that family equals the upper sets of the
 componentwise specialization order, so the builder goes through the product
 poset (the box-union form is what the tests enumerate against).
+
+`predicates` and `satisfies_category` answer by the finite theorems; the
+theorem checkers (`check_kspace_product`, `check_smyth_category`) decide
+membership with the definitional `oracles`, so checking a theorem never
+uses the theorem it checks.
 """
 
 from __future__ import annotations
@@ -23,14 +28,9 @@ from .core_space import (
     from_poset,
 )
 from .errors import ContractViolation, ResourceCapError, ValidationError
-from .families import (
-    CategoryTag,
-    _directed_closure_masks,
-    _filtered_families,
-    irreducible_closed,
-    k_family,
-)
+from .families import CategoryTag, k_family
 from .hyperspaces import smyth_power
+from .oracles import Verdict, category, conjunction
 from .reflections import reflect
 from .symbolic import (
     SymbolicSpace,
@@ -130,26 +130,6 @@ def way_below(x: FiniteSpace, u: int, v: int) -> bool:
     return u & ~v == 0
 
 
-def _wf_sweep(x: FiniteSpace, max_size: int = 3, max_q: int = 32) -> tuple[bool, str]:
-    """Regression oracle for the well-filtered condition: check every
-    filtered family of compact saturated sets of size up to `max_size`.
-    The condition itself is forced by the least member of a finite filtered
-    family, which is what the sweep re-confirms."""
-    q = [u for u in x.opens if u]
-    if len(q) > max_q:
-        return True, f"sweep skipped: |Q| = {len(q)} exceeds {max_q}"
-    count = 0
-    for combo in _filtered_families(q, max_size):
-        count += 1
-        inter = x.full_mask
-        for k in combo:
-            inter &= k
-        for u in x.opens:
-            if inter & ~u == 0 and not any(k & ~u == 0 for k in combo):
-                return False, f"violating family {[x.render_subset(k) for k in combo]}"
-    return True, f"least-member reduction; sweep over {count} filtered families agreed"
-
-
 @dataclass(frozen=True)
 class PropertyReport:
     space_name: str
@@ -180,111 +160,45 @@ class PropertyReport:
     def flag(self, name: str) -> bool:
         return getattr(self, name)
 
-    def by_category(self, c: CategoryTag) -> bool:
-        return {CategoryTag.SOBRIETY: self.sober,
-                CategoryTag.D_SPACE: self.d_space,
-                CategoryTag.WELL_FILTERED: self.well_filtered}[c]
-
 
 PREDICATE_NAMES = ("sober", "d_space", "well_filtered", "compact",
                    "locally_hypercompact", "c_space", "core_compact",
                    "locally_compact")
 
 
+_LEAST_NEIGHBOURHOOD = "the principal upper set of each point is its least neighbourhood"
+_FINITE_WITNESSES = {
+    "sober": "every irreducible closed set is a unique point closure",
+    "d_space": "directed closures collapse to point closures",
+    "well_filtered": "least-member reduction: a filtered family of compact "
+                     "saturated sets in a finite space has a least member",
+    "compact": "every open cover of a finite carrier is itself finite",
+    "locally_hypercompact": _LEAST_NEIGHBOURHOOD,
+    "c_space": _LEAST_NEIGHBOURHOOD,
+    "core_compact": "every open is the union of its way-below opens",
+    "locally_compact": _LEAST_NEIGHBOURHOOD,
+}
+
+
 def predicates(x: FiniteSpace) -> PropertyReport:
-    """All property flags, computed from the definitions."""
-    witnesses: dict = {}
+    """All property flags of a finite T0 space, by the finite theorems.
 
-    sc = frozenset(x.down_masks)
-    irr = irreducible_closed(x)
-    sober = True
-    for a in irr.members:
-        generics = [i for i in range(x.n) if x.down_masks[i] == a]
-        if len(generics) != 1:
-            sober = False
-            witnesses["sober"] = f"irreducible closed {x.render_subset(a)} " \
-                                 f"has {len(generics)} generic points"
-            break
-    if sober:
-        witnesses["sober"] = "every irreducible closed set is a unique point closure"
-
-    dc = _directed_closure_masks(x)
-    d_space = dc == sc
-    witnesses["d_space"] = ("directed closures collapse to point closures"
-                            if d_space else "a directed closure is not a point closure")
-
-    well_filtered, wf_note = _wf_sweep(x)
-    witnesses["well_filtered"] = wf_note
-
-    compact = True
-    witnesses["compact"] = "every open cover of a finite carrier is itself finite"
-
-    lhc = True
-    csp = True
-    lc = True
-    for i in range(x.n):
-        up_i = x.up_masks[i]
-        for u in x.opens:
-            if not u >> i & 1:
-                continue
-            # up(i) is finitely generated, saturated, compact, and open,
-            # so it witnesses all three local properties at once when it
-            # fits under u.
-            ok = up_i & ~u == 0 and x.interior(up_i) >> i & 1
-            if not ok:
-                lhc = csp = lc = False
-                witnesses["c_space"] = (
-                    f"no principal upper set fits between {x.points[i]} and "
-                    f"{x.render_subset(u)}"
-                )
-                break
-        if not lhc:
-            break
-    if csp:
-        witnesses["c_space"] = "the principal upper set of each point is its least neighbourhood"
-    witnesses["locally_hypercompact"] = witnesses["c_space"]
-    witnesses["locally_compact"] = witnesses["c_space"]
-
-    core = all(
-        _union_of_way_below(x, v) == v for v in x.opens
-    )
-    witnesses["core_compact"] = ("every open is the union of its way-below opens"
-                                 if core else "an open is not the union of its way-below opens")
-
-    return PropertyReport(
-        x.name or "space", sober, d_space, well_filtered, compact,
-        lhc, csp, core, lc, witnesses,
-    )
-
-
-def _union_of_way_below(x: FiniteSpace, v: int) -> int:
-    out = 0
-    for u in x.opens:
-        if way_below(x, u, v):
-            out |= u
-    return out
-
-
-def satisfies_category(x: FiniteSpace, c: CategoryTag, caps: Caps | None = None) -> bool:
-    """Category membership for a finite space.
-
-    Below a work estimate the defining family is recomputed; above it the
-    finite-space collapse applies (every finite T0 space is sober: an
-    irreducible closed set with two maximal points splits over them, so
-    each irreducible closed set is the closure of its unique maximal point;
-    sobriety implies well-filtered implies d-space).  Small spaces are
-    therefore always checked definitionally.
+    A closed set with two maximal points splits into two proper closed
+    subsets, so irreducible closed sets are point closures: the space is
+    sober, hence well-filtered and a d-space.  Open covers are finite.  The
+    principal upper set of a point is its least neighbourhood, and compact
+    (C-space, locally hypercompact, locally compact).  An open is way below
+    exactly its supersets (core compact).
     """
-    if c is CategoryTag.SOBRIETY:
-        if len(x.closed_sets) ** 2 > 250_000:
-            return True
-        return frozenset(irreducible_closed(x).members) == frozenset(x.down_masks)
-    if c is CategoryTag.D_SPACE:
-        if (1 << x.n) * x.n * x.n > 2_000_000:
-            return True
-        return _directed_closure_masks(x) == frozenset(x.down_masks)
-    ok, _ = _wf_sweep(x)
-    return ok
+    return PropertyReport(x.name or "space", **dict.fromkeys(PREDICATE_NAMES, True),
+                          witnesses=dict(_FINITE_WITNESSES))
+
+
+def satisfies_category(x: FiniteSpace, c: CategoryTag) -> bool:
+    """Category membership of a finite space: a finite T0 space is sober,
+    hence well-filtered, hence a d-space, so it belongs to every category
+    (see `predicates`)."""
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +261,18 @@ def check_product_reflection(xs: Sequence[FiniteSpace], c: CategoryTag,
 
 @dataclass(frozen=True)
 class KSpaceProductResult:
+    """The two sides of the biconditional, each an oracle verdict."""
+
     category: CategoryTag
-    product_is_kspace: bool
-    factors_are_kspaces: bool
+    product_is_kspace: Verdict
+    factors_are_kspaces: Verdict
 
     @property
-    def ok(self) -> bool:
-        return self.product_is_kspace == self.factors_are_kspaces
+    def verdict(self) -> Verdict:
+        """Passed when both sides agree, skipped when an oracle skipped."""
+        if self.product_is_kspace.holds is None:
+            return self.product_is_kspace
+        return self.factors_are_kspaces.expect(self.product_is_kspace.holds)
 
 
 def check_kspace_product(xs: Sequence[Union[FiniteSpace, SymbolicSpace]],
@@ -361,11 +280,11 @@ def check_kspace_product(xs: Sequence[Union[FiniteSpace, SymbolicSpace]],
                          caps: Caps | None = None) -> KSpaceProductResult:
     """The product is a K-space iff every factor is.
 
-    Finite factors are handled by the predicates on the actual product
-    space.  With one symbolic factor the product side is computed from the
-    product family algebra: the K-family of a finite product is the family
-    of products of factor K-sets, so the product is a K-space iff every
-    such pair is a pair of point closures."""
+    Finite factors are handled by the membership oracles on the actual
+    product space.  With one symbolic factor the product side is computed
+    from the product family algebra: the K-family of a finite product is the
+    family of products of factor K-sets, so the product is a K-space iff
+    every such pair is a pair of point closures."""
     caps = caps or default_caps()
     symbolic = [x for x in xs if isinstance(x, SymbolicSpace)
                 and x.variant is not SymbolicVariant.FINITE]
@@ -374,51 +293,39 @@ def check_kspace_product(xs: Sequence[Union[FiniteSpace, SymbolicSpace]],
                       and x.variant is not SymbolicVariant.FINITE)]
     if not symbolic:
         p = product(finite, caps)
-        lhs = satisfies_category(p, c, caps)
-        rhs = all(satisfies_category(x, c, caps) for x in finite)
-        return KSpaceProductResult(c, lhs, rhs)
+        return KSpaceProductResult(c, category(p, c),
+                                   conjunction(category(x, c) for x in finite))
     if len(symbolic) > 1:
         raise ValidationError("at most one infinite symbolic factor is supported")
     s = symbolic[0]
     f = product(finite, caps) if finite else None
     if f is None:
         raise ValidationError("a symbolic product check needs a finite factor")
+    fin = category(f, c)
     if c is CategoryTag.SOBRIETY:
-        product_side = sym_product_irr(s, f).all_pairs_have_generic_points()
-    elif c is CategoryTag.D_SPACE:
-        sym_ok = sym_family(s, "dc").members_are_point_closures()
-        fin_ok = _directed_closure_masks(f) == frozenset(f.down_masks)
-        product_side = sym_ok and fin_ok
+        pairs_ok = sym_product_irr(s, f).all_pairs_have_generic_points()
+        product_side = Verdict(pairs_ok, "irreducible closed pairs with generic points")
     else:
-        sym_ok = sym_family(s, c).members_are_point_closures()
-        fin_ok = frozenset(k_family(f, c).members) == frozenset(f.down_masks)
-        product_side = sym_ok and fin_ok
-    factors = sym_predicates(s).by_category(c) and satisfies_category(f, c, caps)
-    return KSpaceProductResult(c, product_side, factors)
+        sym_ok = sym_family(s, "dc" if c is CategoryTag.D_SPACE else c
+                            ).members_are_point_closures()
+        product_side = conjunction([Verdict(sym_ok, f"{s.variant.value} family collapses"),
+                                    fin])
+    factor_side = conjunction([Verdict(sym_predicates(s).by_category(c),
+                                       f"{s.variant.value} predicate"), fin])
+    return KSpaceProductResult(c, product_side, factor_side)
 
 
 # ---------------------------------------------------------------------------
 # Smyth categories
 
 
-@dataclass(frozen=True)
-class SmythCheckResult:
-    category: CategoryTag
-    base_is_kspace: bool
-    power_is_kspace: bool
-
-    @property
-    def ok(self) -> bool:
-        return (not self.base_is_kspace) or self.power_is_kspace
-
-
 def check_smyth_category(x: FiniteSpace, c: CategoryTag,
-                         caps: Caps | None = None) -> SmythCheckResult:
-    """Whenever `x` is a K-space, its Smyth power space must be one too."""
+                         caps: Caps | None = None) -> Verdict:
+    """Whenever `x` is a K-space, its Smyth power space must be one too:
+    passed when the base is not a K-space, skipped when an oracle skipped."""
     caps = caps or default_caps()
-    ps = smyth_power(x, caps)
-    return SmythCheckResult(
-        c,
-        satisfies_category(x, c, caps),
-        satisfies_category(ps.space, c, caps),
-    )
+    power = smyth_power(x, caps).space
+    base = category(x, c)
+    if base.holds is False:
+        return Verdict(True, "the base is not a K-space")
+    return base if base.holds is None else category(power, c)

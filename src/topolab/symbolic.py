@@ -344,42 +344,21 @@ class SymbolicPredicates:
                 CategoryTag.WELL_FILTERED: self.well_filtered}[c]
 
 
-def _chain_compact() -> bool:
-    # Opens are the up sets up(n); 0 lies in up(n) iff n == 0, and up(0) is
-    # the whole carrier, so any open cover owns the whole carrier as a member.
-    only_full_contains_zero = all(
-        open_contains(OMEGA_CHAIN, open_up(n), 0) == (n == 0) for n in range(64)
-    )
-    return only_full_contains_zero
-
-
-def _cofinite_compact() -> bool:
-    # Any nonempty open misses only its finite exclusion set; finitely many
-    # further members cover the exclusions, so every cover has a finite subcover.
-    sample = open_cofinite({0, 1, 2})
-    return sample.excluded is not None and len(sample.excluded) < float("inf")
-
-
 def sym_predicates(s: SymbolicSpace) -> SymbolicPredicates:
     """Flags computed from the family descriptors: a space fails a category
     membership exactly when the matching family owns a member that is not a
     point closure (the identity map forces the collapse on actual objects),
     and passes it when the family collapses, the construction of the
     reflection being an object of the category."""
-    if s.variant is SymbolicVariant.FINITE:
-        from .products_properties import predicates
-
-        report = predicates(s.finite)
-        return SymbolicPredicates(report.sober, report.d_space,
-                                  report.well_filtered, True)
+    if s.variant is SymbolicVariant.FINITE:  # finite T0 spaces are sober, hence all
+        return SymbolicPredicates(True, True, True, True)
     sober = sym_family(s, CategoryTag.SOBRIETY).members_are_point_closures()
     wf = sym_family(s, CategoryTag.WELL_FILTERED).members_are_point_closures()
     d = sym_family(s, "dc").members_are_point_closures()
-    if s.variant in CHAIN_VARIANTS:
-        compact = _chain_compact()
-    else:
-        compact = _cofinite_compact()
-    return SymbolicPredicates(sober, d, wf, compact)
+    # Every variant is compact.  Chains: only the whole carrier up(0) contains
+    # 0, so it is a member of every open cover.  Cofinite spaces: any nonempty
+    # member of a cover misses finitely many points, each in one more member.
+    return SymbolicPredicates(sober, d, wf, compact=True)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from topolab import (
     rudin_witness_search,
     specialization_order,
 )
-from topolab.families import rudin_sets_by_filtered_enumeration
+from topolab.oracles import rudin_sets_by_filtered_enumeration
 
 
 def irreducible_by_raw_split(space, a):

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no private module-level function goes unreferenced."""
+no private module-level function goes unreferenced, and the production path
+does not reach the definitional oracles."""
 
 import ast
 from collections import Counter
@@ -75,3 +76,46 @@ def test_private_functions_are_referenced():
                 if refs[node.name] == _references(node)[node.name]:
                     unreferenced.append(f"{name}: {node.name} (line {node.lineno})")
     assert not unreferenced, f"private functions never referenced: {', '.join(unreferenced)}"
+
+
+PRODUCTION_MODULES = ("core_space", "families", "hyperspaces", "reflections", "symbolic")
+THEOREM_FUNCTIONS = ("predicates", "satisfies_category")  # in products_properties
+
+
+def _imports_oracles(node: ast.AST) -> bool:
+    """`node` holds an import statement that reaches the oracles module."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.ImportFrom):
+            if (sub.module or "").split(".")[-1] == "oracles" or \
+                    any(alias.name == "oracles" for alias in sub.names):
+                return True
+        elif isinstance(sub, ast.Import):
+            if any(alias.name.split(".")[-1] == "oracles" for alias in sub.names):
+                return True
+    return False
+
+
+def _oracle_bindings(tree: ast.Module) -> set[str]:
+    """Module-level names bound to the oracles module or to its members."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and _imports_oracles(node):
+            names.update(alias.asname or alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", PRODUCTION_MODULES)
+def test_production_modules_do_not_import_oracles(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    assert not _imports_oracles(tree), f"{module} imports the oracles module"
+
+
+@pytest.mark.parametrize("function", THEOREM_FUNCTIONS)
+def test_theorem_functions_do_not_use_oracles(function):
+    tree = ast.parse((PACKAGE / "products_properties.py").read_text(encoding="utf-8"))
+    oracle_names = _oracle_bindings(tree)
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    used = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
+    assert not _imports_oracles(body), f"{function} imports the oracles module"
+    assert not used & oracle_names, f"{function} uses {sorted(used & oracle_names)}"

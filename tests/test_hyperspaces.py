@@ -20,7 +20,7 @@ from topolab import (
     xi,
 )
 from topolab.caps import Caps
-from topolab.hyperspaces import box_lattice, diamond_lattice
+from topolab.oracles import box_lattice, diamond_lattice
 from topolab.products_properties import predicates
 
 

@@ -1,0 +1,135 @@
+"""The definitional oracles against the theorem-based production answers,
+and the tri-state bookkeeping of their verdicts."""
+
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from topolab import (
+    ALL_CATEGORIES,
+    CategoryTag,
+    FinitePoset,
+    check_kspace_product,
+    check_smyth_category,
+    d_completion,
+    from_poset,
+    predicates,
+    random_space,
+    reflect,
+    satisfies_category,
+    sober_target_catalog,
+    specialization_order,
+)
+from topolab import oracles
+from topolab.caps import Caps
+from topolab.cli_io import SuiteResult
+from topolab.oracles import Verdict
+from topolab.products_properties import PREDICATE_NAMES
+
+
+def order_space(n, edges):
+    labels = tuple(f"p{i}" for i in range(n))
+    return from_poset(FinitePoset.from_pairs(
+        labels, [(labels[i], labels[j]) for i, j in edges]))
+
+
+def antichain(n):
+    return order_space(n, [])
+
+
+@st.composite
+def orders(draw):
+    """Orders on at most 6 points; the edge probability ranges over [0, 1],
+    so antichains (2^n opens) and chains both occur."""
+    n = draw(st.integers(1, 6))
+    p = draw(st.floats(0, 1))
+    pairs = list(itertools.combinations(range(n), 2))
+    coins = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return order_space(n, [pair for pair, u in zip(pairs, coins) if u < p])
+
+
+def assert_production_matches_oracles(x):
+    report = predicates(x)
+    verdicts = oracles.flag_verdicts(x)
+    assert set(verdicts) == set(PREDICATE_NAMES)
+    for name, verdict in verdicts.items():
+        if verdict.holds is not None:
+            assert report.flag(name) == verdict.holds, (x.name, name, verdict)
+    for c in ALL_CATEGORIES:
+        verdict = oracles.category(x, c)
+        if verdict.holds is not None:
+            assert satisfies_category(x, c) == verdict.holds, (x.name, c, verdict)
+
+
+@given(orders())
+@settings(max_examples=40, deadline=None)
+def test_predicates_match_oracles_on_orders(x):
+    assert_production_matches_oracles(x)
+    for c in ALL_CATEGORIES:
+        assert_production_matches_oracles(reflect(x, c).space)
+
+
+def test_predicates_match_oracles_on_the_catalog():
+    for x in sober_target_catalog(4):
+        assert_production_matches_oracles(x)
+        for c in ALL_CATEGORIES:
+            assert_production_matches_oracles(reflect(x, c).space)
+
+
+def test_oracle_over_budget_is_skipped():
+    verdict = oracles.well_filtered(antichain(6))
+    assert verdict.holds is None
+    assert "63" in verdict.reason and str(oracles.WF_MAX_COMPACTS) in verdict.reason
+
+
+def test_oracles_decide_within_budget():
+    x = antichain(5)  # 31 nonempty compact saturated sets
+    for verdict in oracles.flag_verdicts(x).values():
+        assert verdict.holds is True, verdict
+    assert oracles.rudin_cross_check(x, frozenset(x.down_masks)).holds is True
+    assert oracles.rudin_cross_check(x, frozenset()).holds is False
+    assert oracles.rudin_cross_check(antichain(6), frozenset()).holds is None
+
+
+def test_verdict_algebra():
+    yes, no, skip = Verdict(True, "y"), Verdict(False, "n"), Verdict(None, "budget")
+    assert yes.expect(True).holds is True
+    assert yes.expect(False).holds is False
+    assert no.expect(False).holds is True
+    assert skip.expect(True) is skip
+    assert oracles.conjunction([yes, skip, no]) is no
+    assert oracles.conjunction([yes, skip]) is skip
+    assert oracles.conjunction([yes, yes]).holds is True
+
+
+def test_suite_counts_a_skipped_verdict():
+    res = SuiteResult("s")
+    res.record(Verdict(True, "fine"), "a")
+    res.record(Verdict(None, "|Q| = 63 exceeds the budget 32"), "b")
+    res.record(Verdict(False, "broken"), "c")
+    assert (res.passed, res.failed, res.skipped) == (1, 1, 1)
+    assert res.notes == ["skipped: b: |Q| = 63 exceeds the budget 32", "c: broken"]
+
+
+def test_theorem_checkers_skip_over_budget():
+    wide = antichain(4)  # the product is the 16-point antichain
+    for c in ALL_CATEGORIES:
+        kp = check_kspace_product([wide, wide], c, Caps(max_points=16))
+        assert kp.verdict.holds is None
+        assert kp.factors_are_kspaces.holds is True
+    assert check_smyth_category(antichain(5), CategoryTag.WELL_FILTERED).holds is None
+    assert check_smyth_category(antichain(2), CategoryTag.WELL_FILTERED).holds is True
+
+
+def test_dcpo_oracles():
+    for x in (random_space(3, 4), random_space(8, 6), order_space(3, [(0, 1), (1, 2)])):
+        p = specialization_order(x)
+        comp = d_completion(p)
+        assert oracles.dcpo_completion(p, comp.completed, comp.unit).holds is True
+    # on the chain p0 < p1 < p2 the reversed unit sends max{p0, p1} = p1 to
+    # the closure of p1, below the image of p0
+    reversed_unit = tuple(reversed(comp.unit))
+    assert oracles.dcpo_completion(p, comp.completed, reversed_unit).holds is False
+    big = specialization_order(antichain(oracles.DCPO_MAX_POINTS + 1))
+    assert oracles.dcpo_completion(big, big, tuple(range(big.n))).holds is None

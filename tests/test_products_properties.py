@@ -168,23 +168,25 @@ def test_product_reflection_random_pairs():
 def test_kspace_product_finite(sierpinski, discrete2):
     for c in ALL_CATEGORIES:
         res = check_kspace_product([sierpinski, discrete2], c, WIDE_CAPS)
-        assert res.ok
-        assert res.product_is_kspace and res.factors_are_kspaces
+        assert res.verdict.holds
+        assert res.product_is_kspace.holds and res.factors_are_kspaces.holds
 
 
 def test_kspace_product_cofinite_splits(sierpinski):
     d = check_kspace_product([COFINITE, sierpinski], CategoryTag.D_SPACE)
-    assert d.ok and d.product_is_kspace and d.factors_are_kspaces
+    assert d.verdict.holds and d.product_is_kspace.holds and d.factors_are_kspaces.holds
     s = check_kspace_product([COFINITE, sierpinski], CategoryTag.SOBRIETY)
-    assert s.ok and not s.product_is_kspace and not s.factors_are_kspaces
+    assert s.verdict.holds and s.product_is_kspace.holds is False
+    assert s.factors_are_kspaces.holds is False
     w = check_kspace_product([COFINITE, sierpinski], CategoryTag.WELL_FILTERED)
-    assert w.ok and not w.product_is_kspace and not w.factors_are_kspaces
+    assert w.verdict.holds and w.product_is_kspace.holds is False
+    assert w.factors_are_kspaces.holds is False
 
 
 def test_kspace_product_omega_splits(sierpinski):
     for c in ALL_CATEGORIES:
         res = check_kspace_product([OMEGA_CHAIN, sierpinski], c)
-        assert res.ok and not res.product_is_kspace
+        assert res.verdict.holds and res.product_is_kspace.holds is False
 
 
 def test_kspace_product_accepts_finite_embeddings(sierpinski):
@@ -193,7 +195,7 @@ def test_kspace_product_accepts_finite_embeddings(sierpinski):
 
     wrapped = SymbolicSpace(SymbolicVariant.FINITE, finite=sierpinski)
     res = check_kspace_product([COFINITE, wrapped], CategoryTag.D_SPACE)
-    assert res.ok and res.product_is_kspace
+    assert res.verdict.holds and res.product_is_kspace.holds
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +203,11 @@ def test_kspace_product_accepts_finite_embeddings(sierpinski):
 
 
 def test_smyth_checks(sierpinski, discrete2):
-    assert check_smyth_category(sierpinski, CategoryTag.SOBRIETY).ok
-    assert check_smyth_category(discrete2, CategoryTag.WELL_FILTERED).ok
+    assert check_smyth_category(sierpinski, CategoryTag.SOBRIETY).holds
+    assert check_smyth_category(discrete2, CategoryTag.WELL_FILTERED).holds
     for seed in (7, 16):
         space = random_space(seed, 4)
-        assert check_smyth_category(space, CategoryTag.SOBRIETY).ok
+        assert check_smyth_category(space, CategoryTag.SOBRIETY).holds
 
 
 # ---------------------------------------------------------------------------
