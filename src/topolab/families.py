@@ -5,12 +5,14 @@ Irr_c, Rudin sets RD (closed sets minimal among those meeting every member
 of some filtered family of compact saturated sets), and the K-set families
 attached to the sober / d-space / well-filtered categories.
 
-On a finite T0 space all of these collapse to the point closures: the space
-is itself sober (hence an object of each category), so applying the K-set
-condition to the identity map forces every closed K-set to be a point
-closure.  `k_family` uses that collapse directly; the other families are
-computed from their definitions (RD through the single-set reduction), and
-the enumerations that check them against S_c live in `oracles`.
+On a finite T0 space all of these are the point closures, read off the
+specialization order (Stong 1966): a directed subset has a maximum, an
+irreducible closed set has a unique maximal point, and the minimal closed
+sets meeting an upper set k are the closures of the minimal points of k.
+The space is itself sober (hence an object of each category), so applying
+the K-set condition to the identity map forces every closed K-set to be a
+point closure too.  The enumerations that check these answers from the
+definitions live in `oracles`.
 """
 
 from __future__ import annotations
@@ -20,16 +22,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .caps import Caps, default_caps
-from .core_space import (
-    ContinuousMap,
-    FiniteSpace,
-    canonical_masks,
-    mask_key,
-    specialization_order,
-)
-from .errors import ContractViolation, ValidationError
-from .hyperspaces import ClosedFamily, smyth_power
+from .core_space import ContinuousMap, FiniteSpace, bit_indices, canonical_masks, mask_key
+from .errors import ValidationError
+from .hyperspaces import ClosedFamily
 
 
 class CategoryTag(Enum):
@@ -57,40 +52,28 @@ def point_closures(x: FiniteSpace) -> ClosedFamily:
 
 
 def directed_closures(x: FiniteSpace) -> ClosedFamily:
-    """D_c: closures of the subsets directed under the specialization order,
-    by enumeration; `oracles.d_space` compares it with S_c."""
-    return ClosedFamily(x, tuple(_directed_closure_masks(x)), label="D_c")
-
-
-def _directed_closure_masks(x: FiniteSpace) -> frozenset[int]:
-    """Closures of every directed subset, by enumerating all 2^n subsets."""
-    poset = specialization_order(x)
-    return frozenset(x.closure(mask) for mask in range(1, 1 << x.n)
-                     if poset.is_directed_subset(mask))
+    """D_c: closures of the directed subsets.  A finite directed set has a
+    maximum, whose closure is the closure of the set; `oracles.d_space`
+    enumerates the directed subsets."""
+    return ClosedFamily(x, x.down_masks, label="D_c")
 
 
 def is_irreducible_closed_set(x: FiniteSpace, a: int) -> bool:
-    """Nonempty closed `a` is irreducible: it is not the union of two proper
-    closed subsets.  Checked by ranging the first component over the closed
-    subsets of `a`; the second can then be taken to be cl(a minus first)."""
-    if a == 0 or not x.is_closed(a):
-        return False
-    for f in x.closed_sets:
-        if f != a and f & ~a == 0:
-            if x.closure(a & ~f) != a:
-                return False
-    return True
+    """Closed `a` is irreducible (nonempty, not the union of two proper
+    closed subsets) iff it is a point closure: the closures of its maximal
+    points cover it, so it has exactly one."""
+    return a in x.down_masks
 
 
 def is_irreducible_subset(x: FiniteSpace, a: int) -> bool:
     """A subset is irreducible iff its closure is an irreducible closed set."""
-    return a != 0 and is_irreducible_closed_set(x, x.closure(a))
+    return a != 0 and x.closure(a) in x.down_masks
 
 
 def irreducible_closed(x: FiniteSpace) -> ClosedFamily:
-    """Irr_c: all nonempty irreducible closed subsets."""
-    members = [a for a in x.closed_sets if a and is_irreducible_closed_set(x, a)]
-    return ClosedFamily(x, tuple(members), label="Irr_c")
+    """Irr_c: all nonempty irreducible closed subsets, the point closures;
+    `oracles.irreducible_closed_sets` tests every closed set."""
+    return ClosedFamily(x, x.down_masks, label="Irr_c")
 
 
 # ---------------------------------------------------------------------------
@@ -143,33 +126,19 @@ class RudinSets:
     witnesses: dict[int, RudinWitness]
 
 
-def _minimal_meeting_all(closed: Sequence[int], compacts: Sequence[int]) -> list[int]:
-    """Minimal members, in canonical order, of the closed sets meeting every
-    compact in `compacts`.  `closed` must be canonically sorted."""
-    meeting = [a for a in closed if all(a & k for k in compacts)]
-    out = []
-    for i, a in enumerate(meeting):
-        if not any(b & ~a == 0 for b in meeting[:i]):
-            out.append(a)
-    return out
-
-
 def rudin_sets(x: FiniteSpace) -> RudinSets:
     """RD: closed sets with the Rudin property.
 
     A finite filtered family of compact saturated sets has a least member,
-    so a closed set has the Rudin property iff it is minimal among the
-    closed sets meeting some single nonempty compact saturated set.  The
-    single-set reduction is used here; `oracles.rudin_cross_check` compares
-    it with the enumeration of filtered families.
+    so RD holds the closed sets minimal among those meeting one nonempty
+    upper set k: the closures of the minimal points of k.  RD is thus S_c,
+    and the closure of q is witnessed first, in canonical order, by the
+    upper set of q.  `oracles.rudin_sets_by_filtered_enumeration` enumerates
+    the filtered families.
     """
     witnesses: dict[int, RudinWitness] = {}
-    for k in x.opens:  # saturated = upper = open; all finite sets are compact
-        if k == 0:
-            continue
-        for a in _minimal_meeting_all(x.closed_sets, (k,)):
-            if a not in witnesses:
-                witnesses[a] = RudinWitness(x, (k,), a)
+    for q in sorted(range(x.n), key=lambda q: mask_key(x.up_masks[q])):
+        witnesses[x.down_masks[q]] = RudinWitness(x, (x.up_masks[q],), x.down_masks[q])
     return RudinSets(ClosedFamily(x, tuple(witnesses), label="RD"), witnesses)
 
 
@@ -216,16 +185,19 @@ class TopologicalRudinResult:
     minimal_closed: int
 
 
-def rudin_witness_search(x: FiniteSpace, members: Sequence[int], c0: int,
-                         caps: Caps | None = None) -> TopologicalRudinResult:
+def rudin_witness_search(x: FiniteSpace, members: Sequence[int],
+                         c0: int) -> TopologicalRudinResult:
     """Given compact saturated sets forming an irreducible subset of the Smyth
     power space and a closed set `c0` meeting all of them, return the
-    canonically least closed subset of `c0` that still meets all members and
-    is minimal with that property.  Minimality is certified by scanning every
-    proper closed subset, and irreducibility of the result is verified
-    definitionally.
+    canonically least closed subset of `c0` minimal among those meeting
+    every member.
+
+    The Smyth order is reverse inclusion, so the members are irreducible iff
+    one of them, m0, lies inside every other.  A closed set meets every
+    member iff it meets m0, so the minimal ones inside `c0` are point
+    closures of points of m0 in `c0`; the canonically least of those is
+    minimal, since a smaller point closure inside it comes first.
     """
-    caps = caps or default_caps()
     members = canonical_masks(members)
     if not members:
         raise ValidationError("member list must be nonempty")
@@ -240,24 +212,8 @@ def rudin_witness_search(x: FiniteSpace, members: Sequence[int], c0: int,
             raise ValidationError(
                 f"member {x.render_subset(m)} does not meet the starting closed set"
             )
-    ps = smyth_power(x, caps)
-    point_set = 0
-    for m in members:
-        point_set |= 1 << ps.point_of_member(m)
-    if not is_irreducible_subset(ps.space, point_set):
+    m0 = members[0]  # canonical order: a member inside every other comes first
+    if any(m0 & ~m for m in members):
         raise ValidationError("member family is not irreducible in the Smyth power space")
-
-    candidates = [a for a in x.closed_sets
-                  if a & ~c0 == 0 and all(a & m for m in members)]
-    minimal = []
-    for i, a in enumerate(candidates):
-        if not any(b & ~a == 0 for b in candidates[:i]):
-            minimal.append(a)
-    if not minimal:
-        raise ContractViolation("no closed subset meets all members")
-    result = min(minimal, key=mask_key)
-    if not is_irreducible_closed_set(x, result):
-        raise ContractViolation(
-            "minimal meeting set is not irreducible although the member family is"
-        )
+    result = min((x.down_masks[q] for q in bit_indices(m0 & c0)), key=mask_key)
     return TopologicalRudinResult(x, members, c0, result)

@@ -115,12 +115,6 @@ class HyperSpace:
     def base(self) -> FiniteSpace:
         return self.family.base
 
-    def member_of_point(self, k: int) -> int:
-        return self.family.members[k]
-
-    def point_of_member(self, mask: int) -> int:
-        return self.family.member_position(mask)
-
 
 def lower_vietoris(g: ClosedFamily, caps: Caps | None = None) -> HyperSpace:
     """The space of `g` under the topology generated by the diamond sets."""
@@ -155,9 +149,6 @@ class SmythSpace:
     base: FiniteSpace
     members: tuple[int, ...]
     space: FiniteSpace
-
-    def member_of_point(self, k: int) -> int:
-        return self.members[k]
 
     def point_of_member(self, mask: int) -> int:
         return self._member_index[mask]

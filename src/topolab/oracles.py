@@ -1,11 +1,13 @@
 """Definitional oracles for `verify` and the tests.
 
 The production path decides the properties of a finite T0 space by the
-finite theorems (see `products_properties.predicates`).  The checks here
-re-derive them from the definitions by enumeration, so that a theorem
-checker never uses the theorem it checks; no module on the production path
-imports this one.  A membership oracle returns a Verdict: passed, failed,
-or skipped with a reason naming the budget below that stopped it.
+finite theorems (see `products_properties.predicates`) and reads its
+closed-set families off the specialization order (see `families`).  The
+checks here re-derive both from the definitions by enumeration, so that a
+theorem checker never uses the theorem it checks; no module on the
+production path imports this one.  A membership oracle returns a Verdict:
+passed, failed, or skipped with a reason naming the budget below that
+stopped it.
 """
 
 from __future__ import annotations
@@ -15,14 +17,16 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .caps import Caps, default_caps
-from .core_space import FinitePoset, FiniteSpace, bit_indices, canonical_masks, mask_key
-from .errors import ResourceCapError
-from .families import (
-    CategoryTag,
-    _directed_closure_masks,
-    _minimal_meeting_all,
-    irreducible_closed,
+from .core_space import (
+    FinitePoset,
+    FiniteSpace,
+    bit_indices,
+    canonical_masks,
+    mask_key,
+    specialization_order,
 )
+from .errors import ResourceCapError
+from .families import CategoryTag
 from .hyperspaces import ClosedFamily, SmythSpace, box, diamond
 
 SOBER_BUDGET = 250_000        # |closed sets|^2: pairs tested for irreducibility
@@ -64,6 +68,52 @@ def conjunction(verdicts: Iterable[Verdict]) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
+# closed-set families by enumeration
+
+
+def is_irreducible_closed_set(x: FiniteSpace, a: int) -> bool:
+    """Nonempty closed `a` is irreducible: it is not the union of two proper
+    closed subsets.  Checked by ranging the first component over the closed
+    subsets of `a`; the second can then be taken to be cl(a minus first)."""
+    if a == 0 or not x.is_closed(a):
+        return False
+    for f in x.closed_sets:
+        if f != a and f & ~a == 0:
+            if x.closure(a & ~f) != a:
+                return False
+    return True
+
+
+def is_irreducible_subset(x: FiniteSpace, a: int) -> bool:
+    """A subset is irreducible iff its closure is an irreducible closed set."""
+    return a != 0 and is_irreducible_closed_set(x, x.closure(a))
+
+
+def irreducible_closed_sets(x: FiniteSpace) -> tuple[int, ...]:
+    """Irr_c: the closed sets that pass the irreducibility test, in
+    canonical order."""
+    return tuple(a for a in x.closed_sets if is_irreducible_closed_set(x, a))
+
+
+def directed_closure_masks(x: FiniteSpace) -> frozenset[int]:
+    """D_c: closures of every directed subset, by enumerating all 2^n subsets."""
+    poset = specialization_order(x)
+    return frozenset(x.closure(mask) for mask in range(1, 1 << x.n)
+                     if poset.is_directed_subset(mask))
+
+
+def minimal_meeting_all(closed: Sequence[int], compacts: Sequence[int]) -> list[int]:
+    """Minimal members, in canonical order, of the closed sets meeting every
+    compact in `compacts`.  `closed` must be canonically sorted."""
+    meeting = [a for a in closed if all(a & k for k in compacts)]
+    out = []
+    for i, a in enumerate(meeting):
+        if not any(b & ~a == 0 for b in meeting[:i]):
+            out.append(a)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # membership and property oracles
 
 
@@ -72,7 +122,7 @@ def sober(x: FiniteSpace) -> Verdict:
     work = len(x.closed_sets) ** 2
     if work > SOBER_BUDGET:
         return _over("|closed sets|^2", work, SOBER_BUDGET)
-    for a in irreducible_closed(x).members:
+    for a in irreducible_closed_sets(x):
         if x.down_masks.count(a) != 1:
             return Verdict(False, f"irreducible closed {x.render_subset(a)} has "
                                   f"{x.down_masks.count(a)} generic points")
@@ -84,7 +134,7 @@ def d_space(x: FiniteSpace) -> Verdict:
     work = (1 << x.n) * x.n * x.n
     if work > D_SPACE_BUDGET:
         return _over("2^n * n^2", work, D_SPACE_BUDGET)
-    extra = _directed_closure_masks(x) - frozenset(x.down_masks)
+    extra = directed_closure_masks(x) - frozenset(x.down_masks)
     if extra:
         a = min(extra, key=mask_key)
         return Verdict(False, f"directed closure {x.render_subset(a)} is not a point closure")
@@ -176,10 +226,11 @@ def flag_verdicts(x: FiniteSpace) -> dict[str, Verdict]:
 
 def rudin_sets_by_filtered_enumeration(x: FiniteSpace, max_size: int = 3) -> frozenset[int]:
     """Union of the minimal meeting sets over every filtered family of
-    compact saturated sets of size at most `max_size`."""
+    compact saturated sets of size at most `max_size`; `max_size=1` is the
+    single-set reduction."""
     found: set[int] = set()
     for combo in _filtered_families([u for u in x.opens if u], max_size):
-        found.update(_minimal_meeting_all(x.closed_sets, combo))
+        found.update(minimal_meeting_all(x.closed_sets, combo))
     return frozenset(found)
 
 

@@ -284,7 +284,8 @@ def check_kspace_product(xs: Sequence[Union[FiniteSpace, SymbolicSpace]],
     product space.  With one symbolic factor the product side is computed
     from the product family algebra: the K-family of a finite product is the
     family of products of factor K-sets, so the product is a K-space iff
-    every such pair is a pair of point closures."""
+    every such pair is a pair of point closures.  The finite factor's half
+    of every branch is its membership oracle."""
     caps = caps or default_caps()
     symbolic = [x for x in xs if isinstance(x, SymbolicSpace)
                 and x.variant is not SymbolicVariant.FINITE]
@@ -304,7 +305,8 @@ def check_kspace_product(xs: Sequence[Union[FiniteSpace, SymbolicSpace]],
     fin = category(f, c)
     if c is CategoryTag.SOBRIETY:
         pairs_ok = sym_product_irr(s, f).all_pairs_have_generic_points()
-        product_side = Verdict(pairs_ok, "irreducible closed pairs with generic points")
+        product_side = conjunction([
+            Verdict(pairs_ok, "irreducible closed pairs with generic points"), fin])
     else:
         sym_ok = sym_family(s, "dc" if c is CategoryTag.D_SPACE else c
                             ).members_are_point_closures()

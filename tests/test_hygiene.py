@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no private module-level function goes unreferenced, and the production path
-does not reach the definitional oracles."""
+no private module-level function goes unreferenced, the production path
+does not reach the definitional oracles, and the oracles do not lean on a
+production family."""
 
 import ast
 from collections import Counter
@@ -108,6 +109,19 @@ def _oracle_bindings(tree: ast.Module) -> set[str]:
 def test_production_modules_do_not_import_oracles(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     assert not _imports_oracles(tree), f"{module} imports the oracles module"
+
+
+def test_oracles_take_only_the_category_tag_from_families():
+    tree = ast.parse((PACKAGE / "oracles.py").read_text(encoding="utf-8"))
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "families":
+            taken.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            # the module itself, as `from . import families` or `import topolab.families`
+            taken.update("families" for alias in node.names
+                         if alias.name.split(".")[-1] == "families")
+    assert taken <= {"CategoryTag"}, f"oracles takes {sorted(taken)} from families"
 
 
 @pytest.mark.parametrize("function", THEOREM_FUNCTIONS)

@@ -3,6 +3,7 @@ and the tri-state bookkeeping of their verdicts."""
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,13 +11,21 @@ from topolab import (
     ALL_CATEGORIES,
     CategoryTag,
     FinitePoset,
+    SymbolicSpace,
+    ValidationError,
     check_kspace_product,
     check_smyth_category,
     d_completion,
+    directed_closures,
     from_poset,
+    irreducible_closed,
+    is_irreducible_closed_set,
+    is_irreducible_subset,
     predicates,
     random_space,
     reflect,
+    rudin_sets,
+    rudin_witness_search,
     satisfies_category,
     sober_target_catalog,
     specialization_order,
@@ -26,6 +35,7 @@ from topolab.caps import Caps
 from topolab.cli_io import SuiteResult
 from topolab.oracles import Verdict
 from topolab.products_properties import PREDICATE_NAMES
+from topolab.symbolic import SymbolicVariant
 
 
 def order_space(n, edges):
@@ -77,6 +87,86 @@ def test_predicates_match_oracles_on_the_catalog():
             assert_production_matches_oracles(reflect(x, c).space)
 
 
+def rudin_witnesses_by_enumeration(x):
+    """The first single compact saturated set, in canonical order, for which
+    each Rudin set is a minimal meeting set."""
+    out = {}
+    for k in x.opens:
+        if k:
+            for a in oracles.minimal_meeting_all(x.closed_sets, (k,)):
+                out.setdefault(a, (k,))
+    return out
+
+
+def smyth_irreducible(x, members):
+    """The members are irreducible in the Smyth power space: any two
+    nonempty basic opens box(U) of the subspace on the members meet."""
+    boxes = {sum(1 << i for i, m in enumerate(members) if m & ~u == 0) for u in x.opens}
+    return all(a & b for a in boxes if a for b in boxes if b)
+
+
+def witness_search_by_enumeration(x, members, c0):
+    """The canonically least minimal closed subset of `c0` meeting every
+    member, or None when the members are not irreducible."""
+    if not smyth_irreducible(x, members):
+        return None
+    inside = [a for a in x.closed_sets if a & ~c0 == 0]
+    return oracles.minimal_meeting_all(inside, members)[0]
+
+
+def assert_witness_search_matches_oracle(x, members, c0):
+    expected = witness_search_by_enumeration(x, members, c0)
+    if expected is None:
+        with pytest.raises(ValidationError, match="not irreducible"):
+            rudin_witness_search(x, members, c0)
+    else:
+        assert rudin_witness_search(x, members, c0).minimal_closed == expected, \
+            (x.name, members, c0)
+
+
+def assert_families_match_oracles(x):
+    assert directed_closures(x).member_set() == oracles.directed_closure_masks(x)
+    assert irreducible_closed(x).members == oracles.irreducible_closed_sets(x)
+    rd = rudin_sets(x)
+    assert rd.family.member_set() == oracles.rudin_sets_by_filtered_enumeration(x, max_size=1)
+    assert [(a, w.filtered) for a, w in rd.witnesses.items()] == \
+        list(rudin_witnesses_by_enumeration(x).items())
+    for a in x.closed_sets:
+        assert is_irreducible_closed_set(x, a) == oracles.is_irreducible_closed_set(x, a)
+    for a in range(1 << x.n):
+        assert is_irreducible_subset(x, a) == oracles.is_irreducible_subset(x, a)
+
+
+@given(orders(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_families_match_oracles_on_orders(x, data):
+    assert_families_match_oracles(x)
+    compacts = [u for u in x.opens if u]
+    for _ in range(5):
+        members = data.draw(st.lists(st.sampled_from(compacts), min_size=1, max_size=3))
+        c0 = data.draw(st.sampled_from(x.closed_sets))
+        if all(m & c0 for m in members):
+            assert_witness_search_matches_oracle(x, members, c0)
+
+
+def test_families_match_oracles_on_the_catalog():
+    for x in sober_target_catalog(4):
+        assert_families_match_oracles(x)
+        compacts = [u for u in x.opens if u]
+        for size in (1, 2):
+            for members in itertools.combinations(compacts, size):
+                for c0 in x.closed_sets:
+                    if all(m & c0 for m in members):
+                        assert_witness_search_matches_oracle(x, list(members), c0)
+
+
+def test_witness_search_on_a_wide_antichain():
+    # its Smyth power space has more opens than the default cap allows
+    x = antichain(6)
+    members = [x.full_mask, 0b111100, 0b001100]
+    assert rudin_witness_search(x, members, x.full_mask).minimal_closed == 0b000100
+
+
 def test_oracle_over_budget_is_skipped():
     verdict = oracles.well_filtered(antichain(6))
     assert verdict.holds is None
@@ -118,6 +208,12 @@ def test_theorem_checkers_skip_over_budget():
         kp = check_kspace_product([wide, wide], c, Caps(max_points=16))
         assert kp.verdict.holds is None
         assert kp.factors_are_kspaces.holds is True
+    # a sober symbolic factor: the product side rests on the finite factor's oracle
+    sober_chain = SymbolicSpace(SymbolicVariant.OMEGA_PLUS_ONE)
+    kp = check_kspace_product([sober_chain, antichain(9)], CategoryTag.SOBRIETY)
+    assert kp.product_is_kspace.holds is None and kp.verdict.holds is None
+    kp = check_kspace_product([sober_chain, antichain(2)], CategoryTag.SOBRIETY)
+    assert kp.product_is_kspace.holds is True and kp.verdict.holds is True
     assert check_smyth_category(antichain(5), CategoryTag.WELL_FILTERED).holds is None
     assert check_smyth_category(antichain(2), CategoryTag.WELL_FILTERED).holds is True
 
