@@ -2,7 +2,7 @@
 
 Every limit is a hard bound: exceeding one raises ResourceCapError, nothing
 is ever silently truncated.  The TOPOLAB_CAP environment variable overrides
-the defaults, either as a single integer (applied to both carrier caps) or
+the defaults, either as a single integer (the carrier cap `max_points`) or
 as comma-separated ``field=value`` pairs.
 """
 
@@ -16,11 +16,10 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class Caps:
-    max_points: int = 12            # carrier size for ordinary spaces
-    max_hyper_base_points: int = 7  # carrier size of spaces fed to hyperspace builders
-    max_opens: int = 1 << 17        # materialized open-lattice size
-    max_maps: int = 1 << 20         # map enumeration: bound on y.n ** x.n, all functions
-    max_iso_points: int = 8         # order-isomorphism (homeomorphism) search bound
+    max_points: int = 12        # carrier size
+    max_opens: int = 1 << 17    # size of an open lattice that is listed or walked
+    max_maps: int = 1 << 20     # map enumeration: bound on y.n ** x.n, all functions
+    max_iso_points: int = 8     # order-isomorphism (homeomorphism) search bound
 
     def __post_init__(self):
         for f in fields(self):
@@ -38,7 +37,7 @@ def default_caps() -> Caps:
     try:
         if "=" not in env:
             value = int(env)
-            return replace(caps, max_points=value, max_hyper_base_points=value)
+            return replace(caps, max_points=value)
         overrides = {}
         valid = {f.name for f in fields(Caps)}
         for part in env.split(","):

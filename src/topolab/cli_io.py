@@ -52,6 +52,8 @@ from .hyperspaces import (
     box,
     diamond,
     lower_vietoris,
+    smyth_power,
+    xi,
 )
 from .products_properties import (
     PREDICATE_NAMES,
@@ -643,7 +645,7 @@ def suite_finite_collapse(cfg: VerifyConfig) -> SuiteResult:
             for c in cfg.categories:
                 kf = k_family(x, c).member_set()
                 res.check(kf == sc, f"{x.name}: {c.value}-family differs from S_c")
-                r = reflect(x, c, cfg.caps)
+                r = reflect(x, c)
                 res.check(is_homeomorphic(r.space, x, cfg.caps),
                           f"{x.name}: {c.value}-reflection not homeomorphic to the space")
         except ResourceCapError as exc:
@@ -742,7 +744,7 @@ def suite_closure_formula(cfg: VerifyConfig) -> SuiteResult:
     rng = SplitMix64(cfg.seed ^ 0xC10705E)
     for _ in range(cfg.closure_samples):
         x = _sample_space(rng, min(5, cfg.max_points), cfg.caps)
-        r = reflect(x, CategoryTag.WELL_FILTERED, cfg.caps)
+        r = reflect(x, CategoryTag.WELL_FILTERED)
         hv = r.hyper
         ok = True
         for a in range(1 << x.n):
@@ -768,12 +770,7 @@ def suite_product_theorems(cfg: VerifyConfig) -> SuiteResult:
     product of the reflections; the product of spaces is a K-space iff every
     factor is, including the symbolic splits."""
     res = SuiteResult("product_theorems")
-    caps = replace(
-        cfg.caps,
-        max_points=max(cfg.caps.max_points, 16),
-        max_hyper_base_points=max(cfg.caps.max_hyper_base_points, 16),
-        max_opens=max(cfg.caps.max_opens, 1 << 17),
-    )
+    caps = replace(cfg.caps, max_points=max(cfg.caps.max_points, 16))
     rng = SplitMix64(cfg.seed ^ 0x9120D0C7)
     for _ in range(cfg.product_pairs):
         x = _sample_space(rng, min(4, cfg.max_points), caps)
@@ -832,16 +829,20 @@ def suite_rudin_witness(cfg: VerifyConfig) -> SuiteResult:
 
 def suite_transfer(cfg: VerifyConfig) -> SuiteResult:
     """Frame isomorphism between the opens of a space and of its reflection,
-    every predicate flag of both against its oracle (so the flags transfer),
-    symbolic compactness transfer, and the Smyth power checks for the sober
-    and well-filtered categories."""
+    the diamond laws of its embedding and the box laws of x -> up x, every
+    predicate flag of both spaces against its oracle (so the flags
+    transfer), symbolic compactness transfer, and the Smyth power checks for
+    the sober and well-filtered categories."""
     res = SuiteResult("transfer")
     rng = SplitMix64(cfg.seed ^ 0x7245F)
     spaces = [s for s in zoo().values() if isinstance(s, FiniteSpace)]
     for _ in range(cfg.transfer_samples):
         spaces.append(_sample_space(rng, min(5, cfg.max_points), cfg.caps))
     for x in spaces:
-        r = reflect(x, CategoryTag.WELL_FILTERED, cfg.caps)
+        r = reflect(x, CategoryTag.WELL_FILTERED)
+        res.record(oracles.eta_laws(r.embedding, r.family), f"{x.name}: eta laws")
+        power = smyth_power(x)
+        res.record(oracles.xi_laws(xi(x, power), power), f"{x.name}: xi laws")
         image = {}
         for u in x.opens:
             image[u] = diamond(r.family, u)
@@ -863,7 +864,7 @@ def suite_transfer(cfg: VerifyConfig) -> SuiteResult:
                            f"{space.name}: {name} flag against its oracle")
         for c in (CategoryTag.SOBRIETY, CategoryTag.WELL_FILTERED):
             try:
-                res.record(check_smyth_category(x, c, cfg.caps),
+                res.record(check_smyth_category(x, c),
                            f"{x.name}: Smyth power check for {c.value}")
             except ResourceCapError as exc:
                 res.skip(f"{x.name}: {exc}")
@@ -902,7 +903,7 @@ def suite_structural(cfg: VerifyConfig) -> SuiteResult:
     for _ in range(cfg.structural_samples):
         x = _sample_space(rng, min(4, cfg.max_points), cfg.caps)
         c = CategoryTag.WELL_FILTERED
-        r = reflect(x, c, cfg.caps)
+        r = reflect(x, c)
         kf = r.family.member_set()
         k_refl = frozenset(k_family(r.space, c).members)
         ok = True
@@ -919,16 +920,18 @@ def suite_structural(cfg: VerifyConfig) -> SuiteResult:
             if lhs != rhs:
                 ok = False
         res.check(ok, f"{x.name}: irreducibility transfer failed")
-        g2 = irreducible_closed(x)
+        # S_c inside every nonempty closed set: a proper subfamily unless
+        # each closed set is a point closure
+        g2 = ClosedFamily(x, tuple(a for a in x.closed_sets if a))
         g1 = point_closures(x)
-        big = lower_vietoris(g2, cfg.caps)
-        small = lower_vietoris(g1, cfg.caps)
+        big = lower_vietoris(g2)
+        small = lower_vietoris(g1)
         keep = 0
         for m in g1.members:
             keep |= 1 << g2.member_position(m)
         res.check(small.space == big.space.subspace(keep),
                   f"{x.name}: hyperspace of a subfamily is not the subspace")
-        r2 = reflect(r.space, c, cfg.caps)
+        r2 = reflect(r.space, c)
         res.check(is_homeomorphic(r2.space, r.space, cfg.caps),
                   f"{x.name}: reflection is not idempotent")
         res.record(oracles.sober(r.space).expect(
@@ -1106,14 +1109,14 @@ def _cmd_reflect(args, caps: Caps) -> int:
     space = _load_space(args.space, caps)
     c = _CATEGORY_FLAGS[args.category]
     if isinstance(space, SymbolicSpace):
-        r = sym_reflect(space, c, caps)
+        r = sym_reflect(space, c)
         plain = (f"{c.value}-reflection of {space.name or space.variant.value}: "
                  f"{r.space.variant.value}"
                  + (f" (adjoined: {', '.join(r.added_points)})" if r.added_points else
                     " (the space itself)"))
         _emit(args, r, plain)
         return 0
-    r = reflect(space, c, caps)
+    r = reflect(space, c)
     lines = [f"{c.value}-reflection of {space.name or '?'}: "
              f"{r.space.n} points, {len(r.space.opens)} opens"]
     for p in space.points:
@@ -1267,9 +1270,8 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    caps = default_caps()
     try:
-        return _COMMANDS[args.command](args, caps)
+        return _COMMANDS[args.command](args, default_caps())
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3

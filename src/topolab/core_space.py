@@ -10,7 +10,9 @@ neighbourhood (the finite intersection of its neighbourhoods), so the opens
 of a valid space are exactly the upper sets of its specialization order.
 Validation exploits this: a family containing the empty set and the carrier
 is closed under union and intersection iff it equals the upper-set family
-of the preorder it induces.
+of the preorder it induces.  A space is therefore stored as its order rows;
+its open lattice, which can be exponentially larger, is listed only when
+asked for.
 """
 
 from __future__ import annotations
@@ -221,21 +223,24 @@ def _checked_points(points: Iterable[str]) -> tuple[str, ...]:
     return points
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiniteSpace:
-    """A finite T0 space: a carrier plus its full open-set family."""
+    """A finite T0 space, defined by its points and its up-rows (row i is
+    the least open neighbourhood of point i, the set above i in the
+    specialization order); the open and closed lattices are lazy views."""
 
     points: tuple[str, ...]
-    opens: tuple[int, ...]
+    up_masks: tuple[int, ...]
     name: str = field(default="", compare=False)
 
-    def __post_init__(self):
-        points = _checked_points(self.points)
+    def __init__(self, points: Iterable[str], opens: Iterable[int], name: str = ""):
+        """Validate an open-set family, which becomes the `opens` view."""
+        points = _checked_points(points)
         object.__setattr__(self, "points", points)
+        object.__setattr__(self, "name", name)
         n = len(points)
         full = (1 << n) - 1
-        opens = canonical_masks(self.opens)
-        object.__setattr__(self, "opens", opens)
+        opens = canonical_masks(opens)
         for u in opens:
             if u < 0 or u > full:
                 raise ValidationError("an open set is not a subset of the carrier")
@@ -264,19 +269,18 @@ class FiniteSpace:
                 "opens are not closed under union: "
                 f"{self._render(missing)} is missing"
             )
-        object.__setattr__(self, "_up_masks", tuple(up))
+        object.__setattr__(self, "up_masks", tuple(up))
+        self.__dict__["opens"] = opens
 
     @classmethod
     def _of_order(cls, points: Sequence[str], up_rows: Sequence[int],
-                  opens: Iterable[int], name: str = "") -> "FiniteSpace":
-        """The space of a partial order, given by its rows (row i is the set
-        above i) and all of its upper sets; the order and the opens are
-        trusted, so only the labels are checked."""
+                  name: str = "") -> "FiniteSpace":
+        """The space of a partial order given by its rows (row i is the set
+        above i); the order is trusted, so only the labels are checked."""
         out = object.__new__(cls)
         object.__setattr__(out, "points", _checked_points(points))
-        object.__setattr__(out, "opens", canonical_masks(opens))
+        object.__setattr__(out, "up_masks", tuple(up_rows))
         object.__setattr__(out, "name", name)
-        object.__setattr__(out, "_up_masks", tuple(up_rows))
         return out
 
     def _check_t0(self, up: Sequence[int]) -> None:
@@ -303,17 +307,23 @@ class FiniteSpace:
         return (1 << self.n) - 1
 
     @cached_property
-    def opens_set(self) -> frozenset[int]:
-        return frozenset(self.opens)
+    def opens(self) -> tuple[int, ...]:
+        """Every open, in canonical order: the upper sets of the
+        specialization order.  Raises ResourceCapError when there are more
+        than `max_opens` of them."""
+        caps = default_caps()
+        ups = _upper_sets(self.up_masks, limit=caps.max_opens)
+        if ups is None:
+            raise ResourceCapError(
+                f"open lattice of {self.name or 'the space'} exceeds max_opens {caps.max_opens}"
+            )
+        return canonical_masks(ups)
 
     @cached_property
     def closed_sets(self) -> tuple[int, ...]:
+        """Every closed set, in canonical order; built from the `opens` view."""
         full = self.full_mask
         return canonical_masks(full ^ u for u in self.opens)
-
-    @property
-    def up_masks(self) -> tuple[int, ...]:
-        return self._up_masks  # type: ignore[attr-defined]
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
@@ -346,10 +356,12 @@ class FiniteSpace:
         return self._render(mask)
 
     def is_open(self, mask: int) -> bool:
-        return mask in self.opens_set
+        """Opens are the upper sets: the subsets equal to their saturation."""
+        return mask & ~self.full_mask == 0 and self.saturation(mask) == mask
 
     def is_closed(self, mask: int) -> bool:
-        return (self.full_mask ^ mask) in self.opens_set
+        """Closed sets are the lower sets: the subsets equal to their closure."""
+        return mask & ~self.full_mask == 0 and self.closure(mask) == mask
 
     def leq(self, i: int, j: int) -> bool:
         """Specialization order: i <= j iff i lies in the closure of {j}."""
@@ -384,8 +396,9 @@ class FiniteSpace:
         if not positions:
             raise ValidationError("subspace carrier must be nonempty")
         points = tuple(self.points[i] for i in positions)
-        opens = {compress_mask(u & mask, positions) for u in self.opens}
-        return FiniteSpace(points, opens, name=name)
+        # the subspace topology of an Alexandrov space is that of the suborder
+        rows = [compress_mask(self.up_masks[i], positions) for i in positions]
+        return FiniteSpace._of_order(points, rows, name)
 
 
 def from_poset(p: FinitePoset, caps: Caps | None = None) -> FiniteSpace:
@@ -395,10 +408,7 @@ def from_poset(p: FinitePoset, caps: Caps | None = None) -> FiniteSpace:
     caps = caps or default_caps()
     if p.n > caps.max_points:
         raise ResourceCapError(f"poset has {p.n} elements, cap is {caps.max_points}")
-    ups = _upper_sets(p.leq, limit=caps.max_opens)
-    if ups is None:
-        raise ResourceCapError(f"open lattice exceeds cap {caps.max_opens}")
-    return FiniteSpace._of_order(p.elements, p.leq, ups)
+    return FiniteSpace._of_order(p.elements, p.leq)
 
 
 def specialization_order(x: FiniteSpace) -> FinitePoset:
@@ -577,7 +587,7 @@ def find_homeomorphism(x: FiniteSpace, y: FiniteSpace,
     earlier assignment on the order in both directions.
     """
     caps = caps or default_caps()
-    if x.n != y.n or len(x.opens) != len(y.opens):
+    if x.n != y.n:
         return None
     if x.n > caps.max_iso_points:
         raise ResourceCapError(

@@ -113,8 +113,12 @@ class RudinWitness:
             raise ValidationError("witness set is not closed")
         if any(a & k == 0 for k in filtered):
             raise ValidationError("witness set misses a family member")
-        for b in x.closed_sets:
-            if b != a and b & ~a == 0 and all(b & k for k in filtered):
+        # A proper closed subset of `a` misses a maximal point of `a`, so it
+        # lies inside `a` minus that point, which is closed; meeting every
+        # member carries over to supersets, so these sets decide minimality.
+        for i in bit_indices(a):
+            b = a & ~(1 << i)
+            if x.up_masks[i] & b == 0 and all(b & k for k in filtered):
                 raise ValidationError(
                     f"witness set is not minimal: {x.render_subset(b)} also meets all members"
                 )

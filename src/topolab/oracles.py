@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .caps import Caps, default_caps
 from .core_space import (
+    ContinuousMap,
     FinitePoset,
     FiniteSpace,
     bit_indices,
@@ -273,6 +274,37 @@ def box_lattice(s: SmythSpace, caps: Caps | None = None) -> tuple[int, ...]:
     caps = caps or default_caps()
     return canonical_masks(_close({box(s, u) for u in s.base.opens}, int.__or__, caps,
                                   "Smyth power"))
+
+
+# ---------------------------------------------------------------------------
+# canonical embeddings
+
+
+def _embedding_laws(f: ContinuousMap, x: FiniteSpace, basic, what: str) -> Verdict:
+    """`f` pulls each basic open basic(U) back to the open U of `x` and
+    carries U onto basic(U) within its image."""
+    image = f.image_mask(x.full_mask)
+    for u in x.opens:
+        b = basic(u)
+        if f.preimage_mask(b) != u:
+            return Verdict(False, f"{what} preimage of {x.render_subset(u)} differs from the open")
+        if f.image_mask(u) != b & image:
+            return Verdict(False, f"{what} is not open onto its image")
+    return Verdict(True, f"{what} laws hold on {len(x.opens)} opens")
+
+
+def eta_laws(f: ContinuousMap, g: ClosedFamily) -> Verdict:
+    """The diamond laws of the embedding x -> cl{x} into P_H(g)."""
+    return _embedding_laws(f, g.base, lambda u: diamond(g, u), "eta")
+
+
+def xi_laws(f: ContinuousMap, s: SmythSpace) -> Verdict:
+    """The box laws of the embedding x -> up x into P_S(x), whose image is
+    the set of supercompact members."""
+    if f.image_mask(s.base.full_mask) != sum(1 << s.point_of_member(m)
+                                             for m in s.supercompact_members()):
+        return Verdict(False, "xi image differs from the supercompact members")
+    return _embedding_laws(f, s.base, lambda u: box(s, u), "xi")
 
 
 # ---------------------------------------------------------------------------

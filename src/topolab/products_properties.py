@@ -3,8 +3,9 @@ for the product and transfer theorems.
 
 The product of finitely many finite spaces carries the box-generated
 topology; on finite carriers that family equals the upper sets of the
-componentwise specialization order, so the builder goes through the product
-poset (the box-union form is what the tests enumerate against).
+componentwise specialization order, so the builder builds the product from
+the rows of that order (the box-union form is what the tests enumerate
+against).
 
 `predicates` and `satisfies_category` answer by the finite theorems; the
 theorem checkers (`check_kspace_product`, `check_smyth_category`) decide
@@ -21,11 +22,9 @@ from typing import Optional, Sequence, Union
 from .caps import Caps, default_caps
 from .core_space import (
     ContinuousMap,
-    FinitePoset,
     FiniteSpace,
     bit_indices,
     check_continuous,
-    from_poset,
 )
 from .errors import ContractViolation, ResourceCapError, ValidationError
 from .families import CategoryTag, k_family
@@ -79,9 +78,7 @@ def product(xs: Sequence[FiniteSpace], caps: Caps | None = None) -> FiniteSpace:
             if all(xs[i].leq(c[i], d[i]) for i in range(len(xs))):
                 row |= 1 << t
         rows.append(row)
-    poset = FinitePoset(labels, tuple(rows))
-    name = " x ".join(x.name or "?" for x in xs)
-    return from_poset(poset, caps).renamed(name)
+    return FiniteSpace._of_order(labels, rows, " x ".join(x.name or "?" for x in xs))
 
 
 def projections(p: FiniteSpace, xs: Sequence[FiniteSpace]) -> list[ContinuousMap]:
@@ -223,8 +220,8 @@ def check_product_reflection(xs: Sequence[FiniteSpace], c: CategoryTag,
     product of its projections."""
     caps = caps or default_caps()
     p = product(xs, caps)
-    rp = reflect(p, c, caps)
-    rfs = [reflect(x, c, caps) for x in xs]
+    rp = reflect(p, c)
+    rfs = [reflect(x, c) for x in xs]
     target = product([r.space for r in rfs], caps)
     notes: list[str] = []
     sizes = [r.space.n for r in rfs]
@@ -321,12 +318,10 @@ def check_kspace_product(xs: Sequence[Union[FiniteSpace, SymbolicSpace]],
 # Smyth categories
 
 
-def check_smyth_category(x: FiniteSpace, c: CategoryTag,
-                         caps: Caps | None = None) -> Verdict:
+def check_smyth_category(x: FiniteSpace, c: CategoryTag) -> Verdict:
     """Whenever `x` is a K-space, its Smyth power space must be one too:
     passed when the base is not a K-space, skipped when an oracle skipped."""
-    caps = caps or default_caps()
-    power = smyth_power(x, caps).space
+    power = smyth_power(x).space
     base = category(x, c)
     if base.holds is False:
         return Verdict(True, "the base is not a K-space")

@@ -42,14 +42,14 @@ class Reflection:
         return self.hyper.space
 
 
-def reflect(x: FiniteSpace, c: CategoryTag, caps: Caps | None = None) -> Reflection:
+def reflect(x: FiniteSpace, c: CategoryTag) -> Reflection:
     """Build the reflection of `x` for the category `c` and verify that the
-    embedding pulls each diamond open back to the open it came from.  The
-    result is a finite T0 space, hence an object of every category."""
-    caps = caps or default_caps()
+    embedding is an order embedding (`oracles.eta_laws` checks the diamond
+    laws open by open).  The result is a finite T0 space, hence an object of
+    every category."""
     family = k_family(x, c)
-    hyper = lower_vietoris(family, caps)
-    embedding = eta(family, hyper)  # asserts the embedding laws
+    hyper = lower_vietoris(family)
+    embedding = eta(family, hyper)
     return Reflection(c, x, family, hyper, embedding)
 
 
@@ -93,14 +93,13 @@ def extend(f: ContinuousMap, r: Reflection, caps: Caps | None = None,
     return fstar
 
 
-def functor_map(f: ContinuousMap, c: CategoryTag, caps: Caps | None = None,
+def functor_map(f: ContinuousMap, c: CategoryTag,
                 source_reflection: Reflection | None = None,
                 target_reflection: Reflection | None = None) -> ContinuousMap:
     """The action on reflections: A -> cl(f(A)), the unique continuous map
     making the naturality square with the two embeddings commute."""
-    caps = caps or default_caps()
-    rx = source_reflection or reflect(f.source, c, caps)
-    ry = target_reflection or reflect(f.target, c, caps)
+    rx = source_reflection or reflect(f.source, c)
+    ry = target_reflection or reflect(f.target, c)
     mapping = []
     for a in rx.family.members:
         b = f.target.closure(f.image_mask(a))
@@ -145,7 +144,7 @@ def universal_property_report(x: FiniteSpace, c: CategoryTag,
     caps = caps or default_caps()
     if targets is None:
         targets = sober_target_catalog(4)
-    r = reflect(x, c, caps)
+    r = reflect(x, c)
     eta_table = r.embedding.mapping
     maps_tested = 0
     unique = 0
@@ -216,7 +215,7 @@ def d_completion(p: Union[FinitePoset, object], caps: Caps | None = None) -> Dcp
         from . import symbolic
 
         if isinstance(p, symbolic.SymbolicSpace) and p.variant is symbolic.SymbolicVariant.OMEGA_CHAIN:
-            reflection = symbolic.sym_reflect(p, CategoryTag.D_SPACE, caps)
+            reflection = symbolic.sym_reflect(p, CategoryTag.D_SPACE)
             return DcpoCompletion(p, reflection.space, reflection.embedding)
         raise UnsupportedSpaceError(
             "dcpo completion supports finite posets and the omega chain only"

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
 
-from .caps import Caps, default_caps
 from .core_space import FiniteSpace, is_homeomorphic
 from .errors import UnsupportedSpaceError, ValidationError
 from .families import CategoryTag, irreducible_closed, point_closures
@@ -412,18 +411,16 @@ _REFLECT_TABLE = {
 }
 
 
-def sym_reflect(s: SymbolicSpace, c: CategoryTag,
-                caps: Caps | None = None) -> SymbolicReflection:
+def sym_reflect(s: SymbolicSpace, c: CategoryTag) -> SymbolicReflection:
     """The reflection computed from the closed-form family: the hyperspace of
     the K-family under the hit topology.  When the family is the point
     closures the reflection is the space itself; when it additionally owns
     the whole carrier the reflection adjoins exactly one point whose closure
     is everything."""
-    caps = caps or default_caps()
     if s.variant is SymbolicVariant.FINITE:
         from .reflections import reflect
 
-        r = reflect(s.finite, c, caps)
+        r = reflect(s.finite, c)
         return SymbolicReflection(
             c, s, r.family,
             SymbolicSpace(SymbolicVariant.FINITE, finite=r.space, name=r.space.name),
@@ -478,15 +475,13 @@ class SymbolicProductIrr:
     sym_space: SymbolicSpace
     finite_space: FiniteSpace
     sym_irr: SymbolicFamily
-    finite_irr: ClosedFamily
 
     def all_pairs_have_generic_points(self) -> bool:
         """True iff every member B x C has a generic point, which happens iff
-        B and C both do (closures multiply across finite products)."""
-        sym_ok = self.sym_irr.members_are_point_closures()
-        fin_ok = all(m in frozenset(self.finite_space.down_masks)
-                     for m in self.finite_irr.members)
-        return sym_ok and fin_ok
+        B and C both do (closures multiply across finite products).  Every C
+        does, the finite factor being sober; `check_kspace_product` takes
+        that half from `oracles.sober`."""
+        return self.sym_irr.members_are_point_closures()
 
 
 def sym_product_irr(s: SymbolicSpace, f: FiniteSpace) -> SymbolicProductIrr:
@@ -494,4 +489,4 @@ def sym_product_irr(s: SymbolicSpace, f: FiniteSpace) -> SymbolicProductIrr:
         raise UnsupportedSpaceError(
             "use the finite product directly for finite-embedded factors"
         )
-    return SymbolicProductIrr(s, f, sym_family(s, "irr"), irreducible_closed(f))
+    return SymbolicProductIrr(s, f, sym_family(s, "irr"))

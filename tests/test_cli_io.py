@@ -222,14 +222,14 @@ def test_cap_env_override(monkeypatch):
     from topolab.caps import default_caps
 
     monkeypatch.setenv("TOPOLAB_CAP", "15")
-    caps = default_caps()
-    assert caps.max_points == 15 and caps.max_hyper_base_points == 15
+    assert default_caps() == Caps(max_points=15)
     monkeypatch.setenv("TOPOLAB_CAP", "max_opens=64,max_points=9")
     caps = default_caps()
     assert caps.max_opens == 64 and caps.max_points == 9
-    monkeypatch.setenv("TOPOLAB_CAP", "bogus=1")
-    with pytest.raises(ValidationError):
-        default_caps()
+    for bad in ("bogus=1", "max_hyper_base_points=3"):
+        monkeypatch.setenv("TOPOLAB_CAP", bad)
+        with pytest.raises(ValidationError, match="unknown cap"):
+            default_caps()
     monkeypatch.delenv("TOPOLAB_CAP")
     assert default_caps().max_points == 12
 
@@ -259,6 +259,34 @@ def test_cli_cap_exit_code(tmp_path, capsys):
     labels = " ".join(f"p{i}" for i in range(14))
     doc.write_text(f"space big\npoints {labels}\n")
     assert main(["info", str(doc)]) == 3
+
+
+def test_cli_bad_cap_override_is_an_input_error(monkeypatch, capsys):
+    for bad in ("bogus=1", "max_hyper_base_points=7", "max_points=x"):
+        monkeypatch.setenv("TOPOLAB_CAP", bad)
+        assert main(["info", "zoo:vee"]) == 2
+        assert capsys.readouterr().err.startswith("error: TOPOLAB_CAP: ")
+
+
+def test_cli_wide_spaces_list_no_lattice_they_do_not_print(tmp_path, monkeypatch, capsys):
+    """Past the old hyperspace cap, only commands that print or walk the open
+    lattice meet max_opens."""
+    monkeypatch.setenv("TOPOLAB_CAP", "64")
+    labels = [f"p{i}" for i in range(64)]
+    chain = tmp_path / "chain.topo"
+    chain.write_text(f"space chain\npoints {' '.join(labels)}\norder {' < '.join(labels)}\n")
+    antichain = tmp_path / "antichain.topo"
+    antichain.write_text(f"space antichain\npoints {' '.join(labels[:20])}\n")
+    for argv in (["info"], ["families"], ["reflect", "--category", "wf"],
+                 ["check", "--property", "sober"]):
+        assert main([argv[0], str(chain)] + argv[1:]) == 0, argv
+    assert "64 points, 65 opens" in capsys.readouterr().out
+    for argv in (["families"], ["check", "--property", "sober"]):
+        assert main([argv[0], str(antichain)] + argv[1:]) == 0, argv
+    capsys.readouterr()
+    for argv in (["info"], ["reflect", "--category", "wf"]):
+        assert main([argv[0], str(antichain)] + argv[1:]) == 3, argv
+        assert "exceeds max_opens" in capsys.readouterr().err
 
 
 def test_cli_zoo_reflect_product_families(capsys):

@@ -5,8 +5,10 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_oracles import orders
 
 from topolab import (
+    ALL_CATEGORIES,
     ContinuousMap,
     FinitePoset,
     FiniteSpace,
@@ -14,16 +16,26 @@ from topolab import (
     ValidationError,
     check_continuous,
     continuous_map,
+    directed_closures,
     enumerate_continuous_maps,
     find_homeomorphism,
     from_poset,
     identity_map,
+    irreducible_closed,
     is_homeomorphic,
+    k_family,
+    lower_vietoris,
+    point_closures,
+    predicates,
+    product,
     random_space,
+    reflect,
+    rudin_sets,
     sober_target_catalog,
     specialization_order,
 )
 from topolab.caps import Caps
+from topolab.core_space import bit_indices, compress_mask
 
 
 def brute_force_upper_sets(poset):
@@ -201,15 +213,64 @@ def test_space_validation_names_axioms():
 
 
 def test_renamed_keeps_the_validated_space(vee, monkeypatch):
-    def fail(self):
+    def fail(self, *args, **kwargs):
         raise AssertionError("renamed must not validate again")
 
-    monkeypatch.setattr(FiniteSpace, "__post_init__", fail)
+    monkeypatch.setattr(FiniteSpace, "__init__", fail)
     other = vee.renamed("other")
     assert other.name == "other" and vee.name == "vee"
     assert other == vee
     assert other.up_masks == vee.up_masks
     assert other.opens == vee.opens
+
+
+def test_builders_leave_the_lattice_views_unbuilt():
+    """Spaces, products, subspaces, hyperspaces, reflections, the seven
+    families and the predicates are all computed from the order rows."""
+    x = from_poset(FinitePoset.from_pairs(("a", "b", "c", "d"),
+                                          [("a", "c"), ("b", "c"), ("c", "d")]))
+    y = from_poset(FinitePoset.from_pairs(("p", "q"), [("p", "q")]))
+    spaces = [x, y, product([x, y]), x.subspace(x.mask_of("a", "b", "c"))]
+    for s in list(spaces):
+        families = [point_closures(s), directed_closures(s), irreducible_closed(s),
+                    rudin_sets(s).family] + [k_family(s, c) for c in ALL_CATEGORIES]
+        spaces += [lower_vietoris(g).space for g in families]
+        spaces += [reflect(s, c).space for c in ALL_CATEGORIES]
+        predicates(s)
+    for s in spaces:
+        assert "opens" not in s.__dict__ and "closed_sets" not in s.__dict__, s.name
+
+
+def test_open_lattice_view_names_its_cap(monkeypatch):
+    labels = tuple(f"p{i}" for i in range(8))
+    x = from_poset(FinitePoset.from_pairs(labels, []))
+    monkeypatch.setenv("TOPOLAB_CAP", "max_opens=255")
+    with pytest.raises(ResourceCapError, match="exceeds max_opens 255"):
+        x.opens
+    monkeypatch.delenv("TOPOLAB_CAP")
+    assert len(x.opens) == 256
+    # a space built from its opens keeps them as the view
+    y = FiniteSpace(x.points, x.opens)
+    assert y.__dict__["opens"] == x.opens
+
+
+@given(orders())
+@settings(max_examples=40, deadline=None)
+def test_order_answers_match_the_listed_lattice(x):
+    """Openness, closedness and subspaces from the order rows agree with the
+    listed lattice; a space rebuilt from its opens is the same space."""
+    opens, closed = set(x.opens), set(x.closed_sets)
+    for a in range(1 << x.n):
+        assert x.is_open(a) == (a in opens)
+        assert x.is_closed(a) == (a in closed)
+        if a:
+            positions = list(bit_indices(a))
+            reference = FiniteSpace(x.labels_of(a),
+                                    {compress_mask(u & a, positions) for u in x.opens})
+            assert x.subspace(a) == reference
+    assert not x.is_open(1 << x.n) and not x.is_closed(-1)
+    rebuilt = FiniteSpace(x.points, x.opens)
+    assert rebuilt == x and hash(rebuilt) == hash(x)
 
 
 def test_point_cap_is_enforced():

@@ -1,5 +1,7 @@
 """Closed-set family enumeration and the minimal-witness machinery."""
 
+import itertools
+
 import pytest
 
 from topolab import (
@@ -21,6 +23,7 @@ from topolab import (
     random_space,
     rudin_sets,
     rudin_witness_search,
+    sober_target_catalog,
     specialization_order,
 )
 from topolab import oracles
@@ -141,6 +144,36 @@ def test_rudin_witness_validation(sierpinski):
         disc = random_space(2, 2)
         assert len(disc.opens) == 4  # discrete sample
         RudinWitness(disc, (disc.mask_of("p0"), disc.mask_of("p1")), disc.full_mask)
+
+
+def minimal_by_closed_set_scan(x, filtered, a):
+    """The definition: no other closed subset of `a` meets every member."""
+    return not any(b != a and b & ~a == 0 and all(b & k for k in filtered)
+                   for b in x.closed_sets)
+
+
+def test_rudin_witness_minimality_matches_the_closed_set_scan():
+    """Every closed set meeting every member of a filtered family of one or
+    two compact saturated sets, on every catalog space: the witness is
+    accepted exactly when the scan finds it minimal."""
+    accepted = rejected = 0
+    for x in sober_target_catalog(4):
+        compacts = [u for u in x.opens if u]
+        families = [(k,) for k in compacts] + [
+            (k, m) for k, m in itertools.combinations(compacts, 2)
+            if k & ~m == 0 or m & ~k == 0]
+        for filtered in families:
+            for a in x.closed_sets:
+                if not all(a & k for k in filtered):
+                    continue
+                if minimal_by_closed_set_scan(x, filtered, a):
+                    RudinWitness(x, filtered, a)
+                    accepted += 1
+                else:
+                    with pytest.raises(ValidationError, match="not minimal"):
+                        RudinWitness(x, filtered, a)
+                    rejected += 1
+    assert accepted and rejected
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no private module-level function goes unreferenced, the production path
-does not reach the definitional oracles, and the oracles do not lean on a
-production family."""
+does not reach the definitional oracles or list an open lattice, and the
+oracles do not lean on a production family."""
 
 import ast
 from collections import Counter
@@ -133,3 +133,36 @@ def test_theorem_functions_do_not_use_oracles(function):
     used = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
     assert not _imports_oracles(body), f"{function} imports the oracles module"
     assert not used & oracle_names, f"{function} uses {sorted(used & oracle_names)}"
+
+
+LATTICE_FREE_MODULES = PRODUCTION_MODULES + ("products_properties",)
+LATTICE_READERS = {("core_space", "opens"), ("core_space", "closed_sets"),
+                   ("hyperspaces", "smyth_power")}  # (module, enclosing function)
+
+
+def _lattice_reads(tree: ast.Module) -> list[tuple[str | None, int]]:
+    """Each read of an `.opens` or `.closed_sets` attribute, with the name of
+    the innermost function around it and its line."""
+    out = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in ("opens", "closed_sets"):
+                out.append((function, child.lineno))
+            visit(child, function)
+
+    visit(tree, None)
+    return out
+
+
+@pytest.mark.parametrize("module", LATTICE_FREE_MODULES)
+def test_production_modules_read_no_open_lattice(module):
+    """Only the lattice views themselves and the Smyth power space, whose
+    points are the opens, list a lattice; the rest works on the order rows."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    reads = [f"{function} (line {line})" for function, line in _lattice_reads(tree)
+             if (module, function) not in LATTICE_READERS]
+    assert not reads, f"{module} reads an open or closed lattice in {', '.join(reads)}"

@@ -4,12 +4,14 @@ import pytest
 
 from topolab import (
     ClosedFamily,
+    FinitePoset,
     FiniteSpace,
     ResourceCapError,
     ValidationError,
     box,
     diamond,
     eta,
+    from_poset,
     irreducible_closed,
     is_homeomorphic,
     lower_vietoris,
@@ -93,9 +95,16 @@ def test_lower_vietoris_specialization_is_inclusion(vee):
 def test_lower_vietoris_preconditions(sierpinski):
     with pytest.raises(ValidationError, match="nonempty"):
         lower_vietoris(ClosedFamily(sierpinski, (0,)))
+    # no carrier cap: the space is built from its inclusion rows, and only
+    # listing its open lattice is bounded, by max_opens
     big = random_space(4, 8, Caps(max_points=8))
-    with pytest.raises(ResourceCapError):
-        lower_vietoris(point_closures(big))
+    assert is_homeomorphic(lower_vietoris(point_closures(big)).space, big)
+    labels = tuple(f"p{i}" for i in range(18))
+    wide = from_poset(FinitePoset.from_pairs(labels, []), Caps(max_points=18))
+    hv = lower_vietoris(point_closures(wide))
+    assert hv.space.n == 18
+    with pytest.raises(ResourceCapError, match="max_opens"):
+        hv.space.opens
     # {a} u {b} and the point "a,b" both render as "{a,b}"
     clash = FiniteSpace(("a", "b", "a,b"), range(8))
     with pytest.raises(ValidationError, match="distinct"):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from topolab import (
     ALL_CATEGORIES,
     CategoryTag,
+    ContinuousMap,
     FinitePoset,
     SymbolicSpace,
     ValidationError,
@@ -27,8 +28,10 @@ from topolab import (
     rudin_sets,
     rudin_witness_search,
     satisfies_category,
+    smyth_power,
     sober_target_catalog,
     specialization_order,
+    xi,
 )
 from topolab import oracles
 from topolab.caps import Caps
@@ -165,6 +168,26 @@ def test_witness_search_on_a_wide_antichain():
     x = antichain(6)
     members = [x.full_mask, 0b111100, 0b001100]
     assert rudin_witness_search(x, members, x.full_mask).minimal_closed == 0b000100
+
+
+def swapped(f):
+    """`f` with the images of its first two points exchanged."""
+    m = f.mapping
+    return ContinuousMap(f.source, f.target, (m[1], m[0]) + m[2:])
+
+
+def test_embedding_laws_on_the_catalog_and_its_reflections():
+    for x in sober_target_catalog(4):
+        for s in [x] + [reflect(x, c).space for c in ALL_CATEGORIES]:
+            power = smyth_power(s)
+            f = xi(s, power)
+            assert oracles.xi_laws(f, power).holds is True, s.name
+            for c in ALL_CATEGORIES:
+                r = reflect(s, c)
+                assert oracles.eta_laws(r.embedding, r.family).holds is True, (s.name, c)
+            if s.n > 1:
+                assert oracles.xi_laws(swapped(f), power).holds is False, s.name
+                assert oracles.eta_laws(swapped(r.embedding), r.family).holds is False, s.name
 
 
 def test_oracle_over_budget_is_skipped():

@@ -24,7 +24,7 @@ from topolab.families import is_irreducible_subset
 from topolab.products_properties import PropertyReport, product_mask, project_mask
 from topolab.symbolic import COFINITE, OMEGA_CHAIN
 
-WIDE_CAPS = Caps(max_points=16, max_hyper_base_points=16)
+WIDE_CAPS = Caps(max_points=16)
 
 
 def box_union_opens(x, y):
