@@ -36,16 +36,19 @@ def default_caps() -> Caps:
     env = env.strip()
     try:
         if "=" not in env:
-            value = int(env)
-            return replace(caps, max_points=value)
-        overrides = {}
-        valid = {f.name for f in fields(Caps)}
-        for part in env.split(","):
-            key, _, raw = part.partition("=")
-            key = key.strip()
-            if key not in valid:
-                raise ValidationError(f"TOPOLAB_CAP: unknown cap {key!r}")
-            overrides[key] = int(raw)
-        return replace(caps, **overrides)
+            overrides = {"max_points": int(env)}
+        else:
+            overrides = {}
+            valid = {f.name for f in fields(Caps)}
+            for part in env.split(","):
+                key, _, raw = part.partition("=")
+                key = key.strip()
+                if key not in valid:
+                    raise ValidationError(f"TOPOLAB_CAP: unknown cap {key!r}")
+                overrides[key] = int(raw)
     except ValueError as exc:
         raise ValidationError(f"TOPOLAB_CAP: {env!r} is not a valid override") from exc
+    try:
+        return replace(caps, **overrides)
+    except ValidationError as exc:  # a value that is not positive
+        raise ValidationError(f"TOPOLAB_CAP: {exc}") from exc

@@ -12,6 +12,7 @@ seeds reproduce byte-identical spaces on any platform.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field, replace
@@ -137,7 +138,8 @@ def random_space(seed: int, n: int, caps: Caps | None = None) -> FiniteSpace:
     if n < 1:
         raise ValidationError("a random space needs at least one point")
     if n > caps.max_points:
-        raise ResourceCapError(f"{n} points exceed the cap {caps.max_points}")
+        raise ResourceCapError(f"a random space of {n} points", "max_points",
+                               caps.max_points, n)
     rng = SplitMix64(seed)
     labels = tuple(f"p{i}" for i in range(n))
     pairs = []
@@ -1045,8 +1047,9 @@ def _space_summary(space: Space) -> str:
                 f"well_filtered={preds.well_filtered} compact={preds.compact}")
     poset = specialization_order(space)
     lines = [
-        f"space {space.name or '?'}: {space.n} points, {len(space.opens)} opens, "
-        f"{len(space.closed_sets)} closed sets",
+        # complement is a bijection from the opens onto the closed sets
+        f"space {space.name or '?'}: {space.n} points, {space.open_count} opens, "
+        f"{space.open_count} closed sets",
         "points: " + " ".join(space.points),
         "order:  " + (", ".join(
             f"{space.points[i]} < {space.points[j]}" for i, j in poset.covers())
@@ -1118,7 +1121,7 @@ def _cmd_reflect(args, caps: Caps) -> int:
         return 0
     r = reflect(space, c)
     lines = [f"{c.value}-reflection of {space.name or '?'}: "
-             f"{r.space.n} points, {len(r.space.opens)} opens"]
+             f"{r.space.n} points, {r.space.open_count} opens"]
     for p in space.points:
         lines.append(f"  eta({p}) = {r.embedding(p)}")
     _emit(args, r, "\n".join(lines))
@@ -1208,7 +1211,9 @@ def _cmd_verify(args, caps: Caps) -> int:
     return report.exit_code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="topolab",
         description="Finite T0 spaces, hyperspace reflections, and their checkers.",

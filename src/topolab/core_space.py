@@ -294,7 +294,7 @@ class FiniteSpace:
             seen[m] = i
 
     def _render(self, mask: int) -> str:
-        return "{" + ",".join(self.points[i] for i in bit_indices(mask)) + "}"
+        return "{" + ",".join(self.labels_of(mask)) + "}"
 
     # -- basic accessors ----------------------------------------------------
 
@@ -311,13 +311,57 @@ class FiniteSpace:
         """Every open, in canonical order: the upper sets of the
         specialization order.  Raises ResourceCapError when there are more
         than `max_opens` of them."""
-        caps = default_caps()
-        ups = _upper_sets(self.up_masks, limit=caps.max_opens)
+        limit = default_caps().max_opens
+        ups = _upper_sets(self.up_masks, limit=limit)
         if ups is None:
-            raise ResourceCapError(
-                f"open lattice of {self.name or 'the space'} exceeds max_opens {caps.max_opens}"
-            )
+            raise ResourceCapError(f"open lattice of {self.name or 'the space'}",
+                                   "max_opens", limit)
         return canonical_masks(ups)
+
+    @cached_property
+    def open_count(self) -> int:
+        """The number of opens, without listing them.
+
+        An upper set is the up-closure of its minimal points, so the opens
+        are counted by the antichains of the order.  The count is the
+        product over connected components; inside a component,
+        A(P) = A(P - x) + A(P - (up x | down x)), memoized on masks, with x
+        a point of most comparabilities.  Counting antichains is #P-complete
+        (Provan and Ball 1983), so the memo, not the answer, is bounded by
+        `max_opens`: past it this raises ResourceCapError.  Each memoized
+        component adds at least one to the count, so the memo stays below
+        the number of opens, and the count answers wherever the `opens`
+        view would.
+        """
+        limit = default_caps().max_opens
+        near = [u | d for u, d in zip(self.up_masks, self.down_masks)]
+        memo: dict[int, int] = {}
+
+        def count(mask: int) -> int:
+            total = 1
+            while mask:
+                comp = frontier = mask & -mask
+                while frontier:
+                    reach = 0
+                    for i in bit_indices(frontier):
+                        reach |= near[i]
+                    frontier = reach & mask & ~comp
+                    comp |= frontier
+                mask &= ~comp
+                if comp & (comp - 1) == 0:
+                    total *= 2  # an isolated point doubles the count
+                    continue
+                got = memo.get(comp)
+                if got is None:
+                    if len(memo) >= limit:
+                        raise ResourceCapError(f"open count of {self.name or 'the space'}",
+                                               "max_opens", limit)
+                    x = max(bit_indices(comp), key=lambda i: (near[i] & comp).bit_count())
+                    got = memo[comp] = count(comp & ~(1 << x)) + count(comp & ~near[x])
+                total *= got
+            return total
+
+        return count(self.full_mask)
 
     @cached_property
     def closed_sets(self) -> tuple[int, ...]:
@@ -350,7 +394,8 @@ class FiniteSpace:
         return out
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.points[i] for i in bit_indices(mask))
+        # one pass over the labels and the binary digits, lowest bit first
+        return tuple([p for p, bit in zip(self.points, bin(mask)[:1:-1]) if bit == "1"])
 
     def render_subset(self, mask: int) -> str:
         return self._render(mask)
@@ -407,7 +452,8 @@ def from_poset(p: FinitePoset, caps: Caps | None = None) -> FiniteSpace:
     required of an upper set)."""
     caps = caps or default_caps()
     if p.n > caps.max_points:
-        raise ResourceCapError(f"poset has {p.n} elements, cap is {caps.max_points}")
+        raise ResourceCapError(f"a poset of {p.n} elements", "max_points",
+                               caps.max_points, p.n)
     return FiniteSpace._of_order(p.elements, p.leq)
 
 
@@ -524,9 +570,8 @@ def enumerate_continuous_maps(x: FiniteSpace, y: FiniteSpace,
     caps = caps or default_caps()
     total = y.n ** x.n
     if total > caps.max_maps:
-        raise ResourceCapError(
-            f"{total} candidate functions exceed the map enumeration cap {caps.max_maps}"
-        )
+        raise ResourceCapError(f"map enumeration over {total} candidate functions",
+                               "max_maps", caps.max_maps, total)
     n = x.n
     earlier_below = [x.down_masks[i] & ((1 << i) - 1) for i in range(n)]
     earlier_above = [x.up_masks[i] & ((1 << i) - 1) for i in range(n)]
@@ -590,9 +635,8 @@ def find_homeomorphism(x: FiniteSpace, y: FiniteSpace,
     if x.n != y.n:
         return None
     if x.n > caps.max_iso_points:
-        raise ResourceCapError(
-            f"homeomorphism search is bounded to {caps.max_iso_points} points"
-        )
+        raise ResourceCapError(f"homeomorphism search on {x.n} points",
+                               "max_iso_points", caps.max_iso_points, x.n)
     fx, fy = _refined_signatures(x, y)
     if sorted(fx) != sorted(fy):
         return None

@@ -20,7 +20,17 @@ class DslError(ValidationError):
 
 
 class ResourceCapError(TopolabError):
-    """A computation would exceed a configured resource cap."""
+    """A computation would exceed a configured resource cap.
+
+    The message names the `Caps` field, the value that was hit, and the
+    TOPOLAB_CAP setting that lifts it; `need` is the smallest value that
+    would do, when it is known.
+    """
+
+    def __init__(self, what: str, cap: str, limit: int, need: int | None = None):
+        setting = f"{cap}={need}" if need is not None else f"{cap}=N with N > {limit}"
+        super().__init__(f"{what} exceeds {cap} {limit}; "
+                         f"TOPOLAB_CAP={setting} lifts it")
 
 
 class ContractViolation(TopolabError):

@@ -254,7 +254,7 @@ def _close(family: set[int], op, caps: Caps, what: str) -> set[int]:
     while True:
         grown = family | {op(a, b) for a in family for b in family}
         if len(grown) > caps.max_opens:
-            raise ResourceCapError(f"{what} open lattice exceeds cap")
+            raise ResourceCapError(f"{what} open lattice", "max_opens", caps.max_opens)
         if len(grown) == len(family):
             return family
         family = grown

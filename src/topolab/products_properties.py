@@ -63,9 +63,8 @@ def product(xs: Sequence[FiniteSpace], caps: Caps | None = None) -> FiniteSpace:
     for s in sizes:
         total *= s
     if total > caps.max_points:
-        raise ResourceCapError(
-            f"product carrier has {total} points, cap is {caps.max_points}"
-        )
+        raise ResourceCapError(f"a product carrier of {total} points", "max_points",
+                               caps.max_points, total)
     coords = list(itertools.product(*(range(s) for s in sizes)))
     labels = tuple(
         "(" + ",".join(xs[i].points[c[i]] for i in range(len(xs))) + ")"

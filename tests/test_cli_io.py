@@ -1,6 +1,11 @@
 """The space DSL, exporters, seeded generation, the verify runner, and the CLI."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +13,20 @@ from test_oracles import orders
 
 from topolab import (
     DslError,
+    FinitePoset,
     FiniteSpace,
+    ResourceCapError,
     SplitMix64,
     SymbolicSpace,
     ValidationError,
     VerifyConfig,
+    enumerate_continuous_maps,
+    find_homeomorphism,
+    from_poset,
+    oracles,
     parse,
+    point_closures,
+    product,
     random_space,
     render,
     render_dot,
@@ -23,7 +36,7 @@ from topolab import (
     zoo_space,
 )
 from topolab.caps import Caps
-from topolab.cli_io import main, suite_product_theorems, to_jsonable
+from topolab.cli_io import build_parser, main, suite_product_theorems, to_jsonable
 from topolab.symbolic import SymbolicVariant
 
 
@@ -234,6 +247,34 @@ def test_cap_env_override(monkeypatch):
     assert default_caps().max_points == 12
 
 
+def test_cap_errors_name_the_field_the_value_and_the_setting(monkeypatch):
+    chain13 = FinitePoset.from_pairs([f"p{i}" for i in range(13)],
+                                     [(f"p{i}", f"p{i + 1}") for i in range(12)])
+    vee = zoo_space("vee")
+    zigzag = from_poset(FinitePoset.from_pairs(
+        [f"p{i}" for i in range(6)], [("p0", "p1"), ("p2", "p1"), ("p2", "p3"),
+                                      ("p4", "p3"), ("p4", "p5")]))
+    sites = [
+        (lambda: random_space(1, 13), "max_points 12; TOPOLAB_CAP=max_points=13 "),
+        (lambda: from_poset(chain13), "max_points 12; TOPOLAB_CAP=max_points=13 "),
+        (lambda: product([vee, vee, vee]), "max_points 12; TOPOLAB_CAP=max_points=27 "),
+        (lambda: enumerate_continuous_maps(vee, vee, Caps(max_maps=26)),
+         "max_maps 26; TOPOLAB_CAP=max_maps=27 "),
+        (lambda: find_homeomorphism(vee, vee, Caps(max_iso_points=2)),
+         "max_iso_points 2; TOPOLAB_CAP=max_iso_points=3 "),
+        (lambda: oracles.diamond_lattice(point_closures(vee), Caps(max_opens=3)),
+         "max_opens 3; TOPOLAB_CAP=max_opens=N with N > 3 "),
+    ]
+    for call, message in sites:
+        with pytest.raises(ResourceCapError, match=re.escape(message) + "lifts it$"):
+            call()
+    monkeypatch.setenv("TOPOLAB_CAP", "max_opens=2")  # the count's memo takes 3
+    for view in ("opens", "open_count"):
+        with pytest.raises(ResourceCapError, match=re.escape(
+                "exceeds max_opens 2; TOPOLAB_CAP=max_opens=N with N > 2 lifts it")):
+            getattr(zigzag, view)
+
+
 # ---------------------------------------------------------------------------
 # the CLI
 
@@ -262,7 +303,7 @@ def test_cli_cap_exit_code(tmp_path, capsys):
 
 
 def test_cli_bad_cap_override_is_an_input_error(monkeypatch, capsys):
-    for bad in ("bogus=1", "max_hyper_base_points=7", "max_points=x"):
+    for bad in ("bogus=1", "max_hyper_base_points=7", "max_points=x", "0", "max_opens=0"):
         monkeypatch.setenv("TOPOLAB_CAP", bad)
         assert main(["info", "zoo:vee"]) == 2
         assert capsys.readouterr().err.startswith("error: TOPOLAB_CAP: ")
@@ -270,7 +311,7 @@ def test_cli_bad_cap_override_is_an_input_error(monkeypatch, capsys):
 
 def test_cli_wide_spaces_list_no_lattice_they_do_not_print(tmp_path, monkeypatch, capsys):
     """Past the old hyperspace cap, only commands that print or walk the open
-    lattice meet max_opens."""
+    lattice meet max_opens; the plain open counts are counted, not listed."""
     monkeypatch.setenv("TOPOLAB_CAP", "64")
     labels = [f"p{i}" for i in range(64)]
     chain = tmp_path / "chain.topo"
@@ -284,9 +325,38 @@ def test_cli_wide_spaces_list_no_lattice_they_do_not_print(tmp_path, monkeypatch
     for argv in (["families"], ["check", "--property", "sober"]):
         assert main([argv[0], str(antichain)] + argv[1:]) == 0, argv
     capsys.readouterr()
+    assert main(["info", str(antichain)]) == 0
+    assert "20 points, 1048576 opens, 1048576 closed sets" in capsys.readouterr().out
+    assert main(["reflect", str(antichain), "--category", "wf"]) == 0
+    assert "wf-reflection of antichain: 20 points, 1048576 opens" in capsys.readouterr().out
+    half = tmp_path / "half.topo"
+    half.write_text(f"space half\npoints {' '.join(labels[:10])}\n")
+    assert main(["product", "zoo:discrete2", str(half)]) == 0
+    assert "20 points, 1048576 opens, 1048576 closed sets" in capsys.readouterr().out
     for argv in (["info"], ["reflect", "--category", "wf"]):
-        assert main([argv[0], str(antichain)] + argv[1:]) == 3, argv
-        assert "exceeds max_opens" in capsys.readouterr().err
+        assert main([argv[0], str(antichain), "--json"] + argv[1:]) == 3, argv
+        assert "exceeds max_opens 131072" in capsys.readouterr().err
+
+
+def test_cli_builds_its_parser_once(capsys):
+    assert build_parser() is build_parser()
+    assert main(["info", "zoo:vee", "--json"]) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["reflect", "zoo:vee", "--category", "nonsense"])
+    capsys.readouterr()
+    assert main(["info", "zoo:vee", "--json"]) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_python_m_topolab_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "TOPOLAB_CAP"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "topolab", "zoo"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "sierpinski" in proc.stdout.split()
 
 
 def test_cli_zoo_reflect_product_families(capsys):

@@ -170,6 +170,37 @@ def test_witness_search_on_a_wide_antichain():
     assert rudin_witness_search(x, members, x.full_mask).minimal_closed == 0b000100
 
 
+@given(orders())
+@settings(max_examples=60, deadline=None)
+def test_open_count_matches_the_listed_lattice(x):
+    count = x.open_count
+    assert "opens" not in x.__dict__
+    assert count == len(x.opens)
+    # the memo stays below the number of opens, so a cap the view meets holds the count
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("TOPOLAB_CAP", f"max_opens={count}")
+        assert from_poset(specialization_order(x)).open_count == count
+
+
+def chains(*lengths):
+    """The disjoint union of chains of the given lengths."""
+    labels, pairs = [], []
+    for k, length in enumerate(lengths):
+        chain = [f"c{k}_{i}" for i in range(length)]
+        labels += chain
+        pairs += zip(chain, chain[1:])
+    return from_poset(FinitePoset.from_pairs(labels, pairs), Caps(max_points=64))
+
+
+def test_open_count_on_chains_antichains_and_their_unions():
+    """n + 1 opens on an n-chain, 2**n on an n-antichain, and the product of
+    the counts on a disjoint union, all without listing a lattice."""
+    for x, count in ((chains(64), 65), (chains(*[1] * 20), 2 ** 20),
+                     (chains(5, 1, 3, 7, 2), 6 * 2 * 4 * 8 * 3)):
+        assert x.open_count == count
+        assert "opens" not in x.__dict__
+
+
 def swapped(f):
     """`f` with the images of its first two points exchanged."""
     m = f.mapping
