@@ -60,29 +60,28 @@ def _upper_sets(up_rows: Sequence[int], limit: int) -> Optional[list[int]]:
     """All upper sets of the partial order whose row i is the mask above i.
 
     Membership is decided from maximal elements down, so each emitted set
-    costs O(n).  Returns None as soon as more than `limit` sets exist.
+    costs O(n).  The partial sets are grown one point at a time, each set
+    followed by its extension, which keeps the order of a depth-first
+    search (point left out before point put in) without its depth.  Every
+    partial set extends to at least one upper set, so this returns None as
+    soon as more than `limit` partial sets exist.
     """
     n = len(up_rows)
     order = sorted(range(n), key=lambda i: (up_rows[i].bit_count(), i))
-    out: list[int] = []
-
-    def rec(k: int, mask: int) -> bool:
-        if k == n:
-            if len(out) >= limit:
-                return False
-            out.append(mask)
-            return True
-        i = order[k]
-        if not rec(k + 1, mask):
-            return False
-        strict_up = up_rows[i] & ~(1 << i)
-        if strict_up & ~mask == 0:
-            return rec(k + 1, mask | (1 << i))
-        return True
-
-    if not rec(0, 0):
-        return None
-    return out
+    sets = [0]
+    for i in order:
+        bit = 1 << i
+        strict_up = up_rows[i] & ~bit
+        grown: list[int] = []
+        for mask in sets:
+            if strict_up & ~mask:
+                grown.append(mask)
+            else:
+                grown += (mask, mask | bit)
+        if len(grown) > limit:
+            return None
+        sets = grown
+    return sets
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +199,13 @@ class FinitePoset:
         """Nonempty and every two members have an upper bound in the subset."""
         if not mask:
             return False
+        leq = self.leq
         members = list(bit_indices(mask))
-        for a in members:
-            for b in members:
-                if not self.leq[a] & self.leq[b] & mask:
+        # each unordered pair once; a pair {a, a} is bounded by a itself
+        for k, a in enumerate(members):
+            above_a = leq[a] & mask
+            for b in members[k + 1:]:
+                if not above_a & leq[b]:
                     return False
         return True
 
@@ -331,13 +333,15 @@ class FiniteSpace:
         `max_opens`: past it this raises ResourceCapError.  Each memoized
         component adds at least one to the count, so the memo stays below
         the number of opens, and the count answers wherever the `opens`
-        view would.
+        view would.  The recursion runs on an explicit stack of generators
+        (each yields the masks it needs counted), so its depth, which is
+        the length of a chain, is not bounded by the interpreter's.
         """
         limit = default_caps().max_opens
         near = [u | d for u, d in zip(self.up_masks, self.down_masks)]
         memo: dict[int, int] = {}
 
-        def count(mask: int) -> int:
+        def count(mask: int) -> Iterator[int]:
             total = 1
             while mask:
                 comp = frontier = mask & -mask
@@ -357,11 +361,27 @@ class FiniteSpace:
                         raise ResourceCapError(f"open count of {self.name or 'the space'}",
                                                "max_opens", limit)
                     x = max(bit_indices(comp), key=lambda i: (near[i] & comp).bit_count())
-                    got = memo[comp] = count(comp & ~(1 << x)) + count(comp & ~near[x])
+                    without_x = yield comp & ~(1 << x)
+                    got = memo[comp] = without_x + (yield comp & ~near[x])
                 total *= got
             return total
 
-        return count(self.full_mask)
+        stack = [count(self.full_mask)]
+        value = None
+        while True:
+            try:
+                mask = stack[-1].send(value)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                value = done.value
+                continue
+            if mask & (mask - 1):
+                stack.append(count(mask))
+                value = None
+            else:
+                value = 2 if mask else 1  # no point or one point: no generator needed
 
     @cached_property
     def closed_sets(self) -> tuple[int, ...]:
@@ -495,6 +515,17 @@ class ContinuousMap:
             if not 0 <= v < self.target.n:
                 raise ValidationError("mapping hits a point outside the target carrier")
 
+    @classmethod
+    def _of_table(cls, source: FiniteSpace, target: FiniteSpace,
+                  mapping: tuple[int, ...]) -> "ContinuousMap":
+        """The map with the point table `mapping`, a tuple of one target
+        index per source point; the table is trusted, so nothing is checked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "source", source)
+        object.__setattr__(out, "target", target)
+        object.__setattr__(out, "mapping", mapping)
+        return out
+
     def __call__(self, label: str) -> str:
         return self.target.points[self.mapping[self.source.index(label)]]
 
@@ -565,7 +596,9 @@ def enumerate_continuous_maps(x: FiniteSpace, y: FiniteSpace,
     These are the monotone maps: points are assigned in index order, and
     point i ranges over the target points above the images of the earlier
     points below it and below the images of the earlier points above it.
-    The cap still bounds y.n ** x.n, the number of all functions.
+    Every table so built is total and monotone, so each map is made
+    without validation.  The cap still bounds y.n ** x.n, the number of
+    all functions.
     """
     caps = caps or default_caps()
     total = y.n ** x.n
@@ -573,22 +606,27 @@ def enumerate_continuous_maps(x: FiniteSpace, y: FiniteSpace,
         raise ResourceCapError(f"map enumeration over {total} candidate functions",
                                "max_maps", caps.max_maps, total)
     n = x.n
-    earlier_below = [x.down_masks[i] & ((1 << i) - 1) for i in range(n)]
-    earlier_above = [x.up_masks[i] & ((1 << i) - 1) for i in range(n)]
-    y_up, y_down = y.up_masks, y.down_masks
+    earlier_below = [list(bit_indices(x.down_masks[i] & ((1 << i) - 1))) for i in range(n)]
+    earlier_above = [list(bit_indices(x.up_masks[i] & ((1 << i) - 1))) for i in range(n)]
+    y_up, y_down, y_full = y.up_masks, y.down_masks, y.full_mask
+    values: dict[int, list[int]] = {}  # allowed target mask -> its points
     table = [0] * n
     out = []
+    make = ContinuousMap._of_table
 
     def assign(i: int) -> None:
         if i == n:
-            out.append(ContinuousMap(x, y, table))
+            out.append(make(x, y, tuple(table)))
             return
-        allowed = y.full_mask
-        for k in bit_indices(earlier_below[i]):
+        allowed = y_full
+        for k in earlier_below[i]:
             allowed &= y_up[table[k]]
-        for k in bit_indices(earlier_above[i]):
+        for k in earlier_above[i]:
             allowed &= y_down[table[k]]
-        for v in bit_indices(allowed):
+        vs = values.get(allowed)
+        if vs is None:
+            vs = values[allowed] = list(bit_indices(allowed))
+        for v in vs:
             table[i] = v
             assign(i + 1)
 
@@ -609,15 +647,17 @@ def _refined_signatures(x: FiniteSpace, y: FiniteSpace) -> list[list]:
     spaces = (x, y)
     ids = [[(s.down_masks[i].bit_count(), s.up_masks[i].bit_count()) for i in range(s.n)]
            for s in spaces]
+    rows = [([list(bit_indices(m)) for m in s.up_masks],
+             [list(bit_indices(m)) for m in s.down_masks]) for s in spaces]
     for _ in range(3):
         table: dict = {}
-        for k, s in enumerate(spaces):
+        for k, (ups, downs) in enumerate(rows):
             prev = ids[k]
             ids[k] = [table.setdefault((prev[i],
-                                        tuple(sorted(prev[j] for j in bit_indices(s.up_masks[i]))),
-                                        tuple(sorted(prev[j] for j in bit_indices(s.down_masks[i])))),
+                                        tuple(sorted([prev[j] for j in ups[i]])),
+                                        tuple(sorted([prev[j] for j in downs[i]]))),
                                        len(table))
-                      for i in range(s.n)]
+                      for i in range(len(prev))]
     return ids
 
 

@@ -97,21 +97,35 @@ def irreducible_closed_sets(x: FiniteSpace) -> tuple[int, ...]:
 
 
 def directed_closure_masks(x: FiniteSpace) -> frozenset[int]:
-    """D_c: closures of every directed subset, by enumerating all 2^n subsets."""
+    """D_c: closures of every directed subset, by enumerating all 2^n subsets.
+
+    The closure of each subset comes from that of the subset without its
+    lowest point, cl(S) = cl(S - low) | cl(low), a table of 2^n masks."""
     poset = specialization_order(x)
-    return frozenset(x.closure(mask) for mask in range(1, 1 << x.n)
-                     if poset.is_directed_subset(mask))
+    down = x.down_masks
+    closures = [0] * (1 << x.n)
+    out = set()
+    for mask in range(1, 1 << x.n):
+        low = mask & -mask
+        cl = closures[mask] = closures[mask ^ low] | down[low.bit_length() - 1]
+        if poset.is_directed_subset(mask):
+            out.add(cl)
+    return frozenset(out)
 
 
-def minimal_meeting_all(closed: Sequence[int], compacts: Sequence[int]) -> list[int]:
-    """Minimal members, in canonical order, of the closed sets meeting every
-    compact in `compacts`.  `closed` must be canonically sorted."""
-    meeting = [a for a in closed if all(a & k for k in compacts)]
+def _minimal(meeting: Sequence[int]) -> list[int]:
+    """The minimal members of a canonically sorted family, in its order."""
     out = []
     for i, a in enumerate(meeting):
         if not any(b & ~a == 0 for b in meeting[:i]):
             out.append(a)
     return out
+
+
+def minimal_meeting_all(closed: Sequence[int], compacts: Sequence[int]) -> list[int]:
+    """Minimal members, in canonical order, of the closed sets meeting every
+    compact in `compacts`.  `closed` must be canonically sorted."""
+    return _minimal([a for a in closed if all(a & k for k in compacts)])
 
 
 # ---------------------------------------------------------------------------
@@ -142,31 +156,47 @@ def d_space(x: FiniteSpace) -> Verdict:
     return Verdict(True, "directed closures collapse to point closures")
 
 
+def _is_filtered(family: tuple[int, ...]) -> bool:
+    """The intersection of any two members contains some member."""
+    for a, b in itertools.combinations(family, 2):
+        ab = a & b
+        for m in family:
+            if m & ~ab == 0:
+                break
+        else:
+            return False
+    return True
+
+
 def _filtered_families(q: Sequence[int], max_size: int) -> Iterator[tuple[int, ...]]:
-    """Every filtered family of at most `max_size` members of `q`: the
-    intersection of any two members contains some member."""
+    """Every filtered family of at most `max_size` members of `q`, by size,
+    then in the order of `itertools.combinations`."""
     for size in range(1, max_size + 1):
         for combo in itertools.combinations(q, size):
-            if all(any(m & ~(a & b) == 0 for m in combo)
-                   for a, b in itertools.combinations(combo, 2)):
+            if _is_filtered(combo):
                 yield combo
 
 
 def well_filtered(x: FiniteSpace) -> Verdict:
     """Sweep every filtered family of at most WF_MAX_FAMILY compact saturated
     sets: an open containing the intersection must contain a member."""
-    q = [u for u in x.opens if u]  # saturated = upper = open; finite sets are compact
+    opens = x.opens
+    q = [u for u in opens if u]  # saturated = upper = open; finite sets are compact
     if len(q) > WF_MAX_COMPACTS:
         return _over("|Q|", len(q), WF_MAX_COMPACTS)
+    # bit j of supersets[k]: the open opens[j] contains k; an intersection
+    # of opens is an open, so every intersection below has an entry
+    supersets = {k: sum(1 << j for j, u in enumerate(opens) if k & ~u == 0) for k in opens}
     count = 0
     for combo in _filtered_families(q, WF_MAX_FAMILY):
         count += 1
         inter = x.full_mask
+        holding = 0  # the opens containing some member
         for k in combo:
             inter &= k
-        for u in x.opens:
-            if inter & ~u == 0 and not any(k & ~u == 0 for k in combo):
-                return Verdict(False, f"violating family {[x.render_subset(k) for k in combo]}")
+            holding |= supersets[k]
+        if supersets[inter] & ~holding:
+            return Verdict(False, f"violating family {[x.render_subset(k) for k in combo]}")
     return Verdict(True, f"sweep over {count} filtered families agreed")
 
 
@@ -228,10 +258,24 @@ def flag_verdicts(x: FiniteSpace) -> dict[str, Verdict]:
 def rudin_sets_by_filtered_enumeration(x: FiniteSpace, max_size: int = 3) -> frozenset[int]:
     """Union of the minimal meeting sets over every filtered family of
     compact saturated sets of size at most `max_size`; `max_size=1` is the
-    single-set reduction."""
+    single-set reduction.  A family's meeting closed sets are the AND of
+    its members' bitsets over the closed sets; the minimal ones are found
+    once per distinct bitset."""
+    closed = x.closed_sets
+    q = [u for u in x.opens if u]
+    # bit j of meets[k]: the closed set closed[j] meets k
+    meets = {k: sum(1 << j for j, a in enumerate(closed) if a & k) for k in q}
+    every = (1 << len(closed)) - 1
+    minimal: dict[int, list[int]] = {}
     found: set[int] = set()
-    for combo in _filtered_families([u for u in x.opens if u], max_size):
-        found.update(minimal_meeting_all(x.closed_sets, combo))
+    for combo in _filtered_families(q, max_size):
+        meeting = every
+        for k in combo:
+            meeting &= meets[k]
+        got = minimal.get(meeting)
+        if got is None:
+            got = minimal[meeting] = _minimal([closed[j] for j in bit_indices(meeting)])
+        found.update(got)
     return frozenset(found)
 
 

@@ -152,7 +152,8 @@ def universal_property_report(x: FiniteSpace, c: CategoryTag,
     for y in targets:
         by_composite: dict[tuple[int, ...], int] = {}
         for g in enumerate_continuous_maps(r.space, y, caps):
-            key = tuple(g.mapping[v] for v in eta_table)
+            mapping = g.mapping
+            key = tuple([mapping[v] for v in eta_table])
             by_composite[key] = by_composite.get(key, 0) + 1
         for f in enumerate_continuous_maps(x, y, caps):
             maps_tested += 1

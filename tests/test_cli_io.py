@@ -309,6 +309,26 @@ def test_cli_bad_cap_override_is_an_input_error(monkeypatch, capsys):
         assert capsys.readouterr().err.startswith("error: TOPOLAB_CAP: ")
 
 
+def test_cli_long_chain_needs_no_deep_recursion(tmp_path, monkeypatch, capsys):
+    """The open count (`info`, `reflect`) and the open listing (validation
+    and the `opens` view) of a chain longer than the interpreter's recursion
+    limit all answer."""
+    monkeypatch.setenv("TOPOLAB_CAP", "max_points=1000")
+    labels = [f"c{i}" for i in range(1000)]
+    doc = tmp_path / "chain.topo"
+    doc.write_text(f"space chain\npoints {' '.join(labels)}\norder {' < '.join(labels)}\n")
+    assert main(["info", str(doc)]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("space chain: 1000 points, 1001 opens, 1001 closed sets\n")
+    assert main(["reflect", "--category", "sob", str(doc)]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("sob-reflection of chain: 1000 points, 1001 opens\n")
+    assert "Traceback" not in err
+    full = (1 << 1000) - 1
+    chain = FiniteSpace(labels, [full & ~((1 << k) - 1) for k in range(1001)], "chain")
+    assert FiniteSpace._of_order(labels, chain.up_masks).opens == chain.opens
+
+
 def test_cli_wide_spaces_list_no_lattice_they_do_not_print(tmp_path, monkeypatch, capsys):
     """Past the old hyperspace cap, only commands that print or walk the open
     lattice meet max_opens; the plain open counts are counted, not listed."""

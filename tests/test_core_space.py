@@ -363,7 +363,15 @@ def test_map_layer_agrees_with_the_preimage_oracle():
     spaces = small_spaces_and_extremes()
     for x, y in itertools.product(spaces, repeat=2):
         oracle = enumerate_by_filtering(x, y)
-        assert [f.mapping for f in enumerate_continuous_maps(x, y)] == oracle
+        maps = enumerate_continuous_maps(x, y)
+        assert [f.mapping for f in maps] == oracle
+        # the trusted constructor: each map is the validated one, on its own
+        # tuple rather than the backtracking table, in lexicographic order
+        for f in maps:
+            assert type(f.mapping) is tuple
+            assert f == ContinuousMap(x, y, list(f.mapping))
+            assert (f.source, f.target) == (x, y)
+        assert [f.mapping for f in maps] == sorted({f.mapping for f in maps})
         continuous = set(oracle)
         for combo in itertools.product(range(y.n), repeat=x.n):
             report = check_continuous(ContinuousMap(x, y, combo))

@@ -1,6 +1,8 @@
 """Reflections, map extension, the functor action, the universal property
 verifier, and dcpo completion."""
 
+import itertools
+
 import pytest
 
 from topolab import (
@@ -145,9 +147,18 @@ def test_universal_property_point_source(sierpinski, vee):
 
 
 def test_universal_property_vee_against_catalog(vee):
-    report = universal_property_report(vee, CategoryTag.D_SPACE)
-    assert report.ok
-    assert not report.violations
+    catalog = sober_target_catalog(4)
+    # the monotone functions from vee into each target, counted from all functions
+    monotone = sum(
+        all(y.leq(f[i], f[j]) for i in range(vee.n) for j in range(vee.n) if vee.leq(i, j))
+        for y in catalog for f in itertools.product(range(y.n), repeat=vee.n))
+    assert monotone == 321
+    for c in ALL_CATEGORIES:
+        report = universal_property_report(vee, c)
+        assert report.ok
+        assert not report.violations
+        assert (report.targets, report.maps_tested, report.unique_factorizations) == \
+            (len(catalog), monotone, monotone)
 
 
 def test_sober_catalog_size():
