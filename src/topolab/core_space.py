@@ -88,6 +88,17 @@ def _upper_sets(up_rows: Sequence[int], limit: int) -> Optional[list[int]]:
 # posets
 
 
+def _transitive_closure(rows: Sequence[int]) -> list[int]:
+    """Warshall's algorithm on relation rows (row i is the mask of elements
+    related to i): after step k, every row holds what it reaches through
+    intermediates up to k."""
+    rows = list(rows)
+    for k in range(len(rows)):
+        row_k = rows[k]
+        rows = [r | row_k if r >> k & 1 else r for r in rows]
+    return rows
+
+
 @dataclass(frozen=True)
 class FinitePoset:
     """A finite partial order; row i of `leq` is the mask of elements above i."""
@@ -115,6 +126,10 @@ class FinitePoset:
                 raise ValidationError(f"leq row for {elements[i]!r} is out of range")
             if not row >> i & 1:
                 raise ValidationError(f"order is not reflexive at {elements[i]!r}")
+        # a transitive order is antisymmetric iff its rows are distinct (i <= j
+        # <= i makes rows i and j equal); otherwise the scan names a violation
+        if len(set(leq)) == n and _transitive_closure(leq) == list(leq):
+            return
         for i in range(n):
             for j in bit_indices(leq[i]):
                 if leq[j] & ~leq[i]:
@@ -142,22 +157,16 @@ class FinitePoset:
                 missing = a if a not in index else b
                 raise ValidationError(f"order mentions unknown element {missing!r}")
             rows[index[a]] |= 1 << index[b]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                acc = rows[i]
-                for j in bit_indices(rows[i]):
-                    acc |= rows[j]
-                if acc != rows[i]:
-                    rows[i] = acc
-                    changed = True
-        for i in range(n):
-            for j in bit_indices(rows[i]):
-                if i != j and rows[j] >> i & 1:
-                    raise ValidationError(
-                        f"order contains a cycle through {elements[i]!r} and {elements[j]!r}"
-                    )
+        rows = _transitive_closure(rows)
+        # in a transitive relation i <= j <= i iff rows i and j are equal, so
+        # the first element on a cycle is the least index of a repeated row,
+        # and the next index with that row is the first element it meets
+        if len(set(rows)) < n:
+            i = next(i for i, r in enumerate(rows) if rows.count(r) > 1)
+            j = rows.index(rows[i], i + 1)
+            raise ValidationError(
+                f"order contains a cycle through {elements[i]!r} and {elements[j]!r}"
+            )
         return cls(elements, tuple(rows))
 
     @property
@@ -194,20 +203,6 @@ class FinitePoset:
                 if not between:
                     out.append((i, j))
         return out
-
-    def is_directed_subset(self, mask: int) -> bool:
-        """Nonempty and every two members have an upper bound in the subset."""
-        if not mask:
-            return False
-        leq = self.leq
-        members = list(bit_indices(mask))
-        # each unordered pair once; a pair {a, a} is bounded by a itself
-        for k, a in enumerate(members):
-            above_a = leq[a] & mask
-            for b in members[k + 1:]:
-                if not above_a & leq[b]:
-                    return False
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +430,12 @@ class FiniteSpace:
     # -- topological operators ----------------------------------------------
 
     def closure(self, mask: int) -> int:
+        down = self.down_masks
         out = 0
-        for i in bit_indices(mask):
-            out |= self.down_masks[i]
+        while mask:
+            low = mask & -mask
+            out |= down[low.bit_length() - 1]
+            mask ^= low
         return out
 
     def interior(self, mask: int) -> int:
@@ -445,9 +443,12 @@ class FiniteSpace:
 
     def saturation(self, mask: int) -> int:
         """Intersection of all opens containing the set; equals its upper closure."""
+        up = self.up_masks
         out = 0
-        for i in bit_indices(mask):
-            out |= self.up_masks[i]
+        while mask:
+            low = mask & -mask
+            out |= up[low.bit_length() - 1]
+            mask ^= low
         return out
 
     def renamed(self, name: str) -> "FiniteSpace":
@@ -530,9 +531,12 @@ class ContinuousMap:
         return self.target.points[self.mapping[self.source.index(label)]]
 
     def image_mask(self, mask: int) -> int:
+        mapping = self.mapping
         out = 0
-        for i in bit_indices(mask):
-            out |= 1 << self.mapping[i]
+        while mask:
+            low = mask & -mask
+            out |= 1 << mapping[low.bit_length() - 1]
+            mask ^= low
         return out
 
     def preimage_mask(self, mask: int) -> int:
@@ -593,12 +597,15 @@ def enumerate_continuous_maps(x: FiniteSpace, y: FiniteSpace,
                               caps: Caps | None = None) -> list[ContinuousMap]:
     """All continuous maps x -> y, in lexicographic order of their point tables.
 
-    These are the monotone maps: points are assigned in index order, and
-    point i ranges over the target points above the images of the earlier
-    points below it and below the images of the earlier points above it.
+    These are the monotone maps: the point tables are grown one source
+    point at a time, in index order, each partial table extended by every
+    target point above the images of the earlier points below it and below
+    the images of the earlier points above it.  Extending the tables in
+    their order keeps them in lexicographic order, and no step recurses, so
+    the number of source points is not bounded by the interpreter's stack.
     Every table so built is total and monotone, so each map is made
     without validation.  The cap still bounds y.n ** x.n, the number of
-    all functions.
+    all functions (and so the partial tables of every step).
     """
     caps = caps or default_caps()
     total = y.n ** x.n
@@ -609,29 +616,23 @@ def enumerate_continuous_maps(x: FiniteSpace, y: FiniteSpace,
     earlier_below = [list(bit_indices(x.down_masks[i] & ((1 << i) - 1))) for i in range(n)]
     earlier_above = [list(bit_indices(x.up_masks[i] & ((1 << i) - 1))) for i in range(n)]
     y_up, y_down, y_full = y.up_masks, y.down_masks, y.full_mask
-    values: dict[int, list[int]] = {}  # allowed target mask -> its points
-    table = [0] * n
-    out = []
+    values: dict[int, list[tuple[int]]] = {}  # allowed target mask -> its points, as 1-tuples
+    tables: list[tuple[int, ...]] = [()]
+    for below, above in zip(earlier_below, earlier_above):
+        grown: list[tuple[int, ...]] = []
+        for table in tables:
+            allowed = y_full
+            for k in below:
+                allowed &= y_up[table[k]]
+            for k in above:
+                allowed &= y_down[table[k]]
+            vs = values.get(allowed)
+            if vs is None:
+                vs = values[allowed] = [(v,) for v in bit_indices(allowed)]
+            grown += [table + v for v in vs]
+        tables = grown
     make = ContinuousMap._of_table
-
-    def assign(i: int) -> None:
-        if i == n:
-            out.append(make(x, y, tuple(table)))
-            return
-        allowed = y_full
-        for k in earlier_below[i]:
-            allowed &= y_up[table[k]]
-        for k in earlier_above[i]:
-            allowed &= y_down[table[k]]
-        vs = values.get(allowed)
-        if vs is None:
-            vs = values[allowed] = list(bit_indices(allowed))
-        for v in vs:
-            table[i] = v
-            assign(i + 1)
-
-    assign(0)
-    return out
+    return [make(x, y, table) for table in tables]
 
 
 # ---------------------------------------------------------------------------

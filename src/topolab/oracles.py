@@ -24,7 +24,6 @@ from .core_space import (
     bit_indices,
     canonical_masks,
     mask_key,
-    specialization_order,
 )
 from .errors import ResourceCapError
 from .families import CategoryTag
@@ -96,21 +95,39 @@ def irreducible_closed_sets(x: FiniteSpace) -> tuple[int, ...]:
     return tuple(a for a in x.closed_sets if is_irreducible_closed_set(x, a))
 
 
-def directed_closure_masks(x: FiniteSpace) -> frozenset[int]:
-    """D_c: closures of every directed subset, by enumerating all 2^n subsets.
+def _subset_tables(up: Sequence[int], down: Sequence[int]) -> tuple[list[int], bytearray]:
+    """The closure of every subset of a finite order, and whether the subset
+    is directed (nonempty, and every two members have an upper bound in it),
+    both indexed by mask and both read off smaller subsets.
 
-    The closure of each subset comes from that of the subset without its
-    lowest point, cl(S) = cl(S - low) | cl(low), a table of 2^n masks."""
-    poset = specialization_order(x)
-    down = x.down_masks
-    closures = [0] * (1 << x.n)
-    out = set()
-    for mask in range(1, 1 << x.n):
+    The closure of S is that of S without its lowest point, joined with that
+    point's down-row.  For directedness take a minimal member a of S, a
+    member outside the union of the strict up-rows of S's members (a second
+    table of the same shape).  S is directed iff S - a is empty, or S - a is
+    directed and every member of S - a has an upper bound in common with a
+    inside S, that is, lies in the closure of up(a) & S.  Minimality makes
+    this hold under any labelling: a bounds no pair of S - a from above."""
+    size = 1 << len(up)
+    closures = [0] * size
+    strict_above = [0] * size  # the union of the strict up-rows of the members
+    directed = bytearray(size)
+    for mask in range(1, size):
         low = mask & -mask
-        cl = closures[mask] = closures[mask ^ low] | down[low.bit_length() - 1]
-        if poset.is_directed_subset(mask):
-            out.add(cl)
-    return frozenset(out)
+        i = low.bit_length() - 1
+        closures[mask] = closures[mask ^ low] | down[i]
+        above = strict_above[mask] = strict_above[mask ^ low] | (up[i] ^ low)
+        a = mask & ~above
+        a &= -a
+        rest = mask ^ a
+        directed[mask] = not rest or (
+            directed[rest] and rest & ~closures[up[a.bit_length() - 1] & mask] == 0)
+    return closures, directed
+
+
+def directed_closure_masks(x: FiniteSpace) -> frozenset[int]:
+    """D_c: closures of every directed subset, over all 2^n subsets."""
+    closures, directed = _subset_tables(x.up_masks, x.down_masks)
+    return frozenset(cl for cl, d in zip(closures, directed) if d)
 
 
 def _minimal(meeting: Sequence[int]) -> list[int]:
@@ -366,11 +383,13 @@ def dcpo_completion(p: FinitePoset, q: FinitePoset, unit: tuple[int, ...]) -> Ve
     the image."""
     if max(p.n, q.n) > DCPO_MAX_POINTS:
         return _over("n", max(p.n, q.n), DCPO_MAX_POINTS)
+    _, q_directed = _subset_tables(q.leq, q.down_rows)
     for mask in range(1, 1 << q.n):
-        if q.is_directed_subset(mask) and _sup_of_directed(q, mask) is None:
+        if q_directed[mask] and _sup_of_directed(q, mask) is None:
             return Verdict(False, "a directed subset of the completion has no supremum")
+    _, p_directed = _subset_tables(p.leq, p.down_rows)
     for mask in range(1, 1 << p.n):
-        if p.is_directed_subset(mask):
+        if p_directed[mask]:
             sup = _sup_of_directed(p, mask)
             image = sum(1 << k for k in {unit[i] for i in bit_indices(mask)})
             if sup is None or _sup_of_directed(q, image) != unit[sup]:

@@ -65,19 +65,29 @@ def product(xs: Sequence[FiniteSpace], caps: Caps | None = None) -> FiniteSpace:
     if total > caps.max_points:
         raise ResourceCapError(f"a product carrier of {total} points", "max_points",
                                caps.max_points, total)
-    coords = list(itertools.product(*(range(s) for s in sizes)))
-    labels = tuple(
-        "(" + ",".join(xs[i].points[c[i]] for i in range(len(xs))) + ")"
-        for c in coords
-    )
-    rows = []
-    for c in coords:
-        row = 0
-        for t, d in enumerate(coords):
-            if all(xs[i].leq(c[i], d[i]) for i in range(len(xs))):
-                row |= 1 << t
-        rows.append(row)
-    return FiniteSpace._of_order(labels, rows, " x ".join(x.name or "?" for x in xs))
+    labels = tuple("(" + ",".join(c) + ")" for c in itertools.product(*(x.points for x in xs)))
+    return FiniteSpace._of_order(labels, _product_rows(xs),
+                                 " x ".join(x.name or "?" for x in xs))
+
+
+def _product_rows(xs: Sequence[FiniteSpace]) -> list[int]:
+    """The up-rows of the componentwise order, factor by factor.
+
+    In P x F, with (p, f) at index p * |F| + f, the row of (p, f) is the
+    row of f placed at every point above p: with `spread` holding bit
+    q * |F| for each q above p, that is the product spread * row(f), whose
+    shifted copies of row(f) do not overlap."""
+    rows = list(xs[0].up_masks)
+    for f in xs[1:]:
+        shift = f.n
+        grown = []
+        for row in rows:
+            spread = 0
+            for q in bit_indices(row):
+                spread |= 1 << q * shift
+            grown += [spread * r for r in f.up_masks]
+        rows = grown
+    return rows
 
 
 def projections(p: FiniteSpace, xs: Sequence[FiniteSpace]) -> list[ContinuousMap]:

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_oracles import orders
 
@@ -95,6 +95,62 @@ def test_poset_validation_names_axioms():
         FinitePoset(("a", "b"), (0b11, 0b11))
     with pytest.raises(ValidationError, match="cycle"):
         FinitePoset.from_pairs(("a", "b"), [("a", "b"), ("b", "a")])
+
+
+def closure_reference(elements, pairs):
+    """The rows of the reflexive-transitive closure by search from each
+    element, and the first (i, j) with i < j below each other, or None."""
+    index = {e: i for i, e in enumerate(elements)}
+    succ = [set() for _ in elements]
+    for a, b in pairs:
+        succ[index[a]].add(index[b])
+    rows = []
+    for i in range(len(elements)):
+        seen, todo = {i}, [i]
+        while todo:
+            for j in succ[todo.pop()] - seen:
+                seen.add(j)
+                todo.append(j)
+        rows.append(sum(1 << j for j in seen))
+    cycle = next(((i, j) for i in range(len(rows)) for j in range(len(rows))
+                  if i != j and rows[i] >> j & 1 and rows[j] >> i & 1), None)
+    return tuple(rows), cycle
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=2 * n))))
+@example((4, [(1, 2), (2, 1), (0, 3), (3, 0)]))  # e0-e3 has the least index, e1-e2 closes first
+@settings(max_examples=150, deadline=None)
+def test_from_pairs_closes_the_relation_like_a_search(case):
+    n, edges = case
+    labels = tuple(f"e{i}" for i in range(n))
+    pairs = [(labels[a], labels[b]) for a, b in edges]
+    rows, cycle = closure_reference(labels, pairs)
+    if cycle is None:
+        assert FinitePoset.from_pairs(labels, pairs).leq == rows
+    else:
+        i, j = cycle
+        with pytest.raises(ValidationError) as err:
+            FinitePoset.from_pairs(labels, pairs)
+        assert str(err.value) == \
+            f"order contains a cycle through {labels[i]!r} and {labels[j]!r}"
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.integers(0, (1 << n) - 1),
+                                                     min_size=n, max_size=n)))
+@settings(max_examples=150, deadline=None)
+def test_poset_accepts_exactly_the_partial_orders(rows):
+    n = len(rows)
+    rows = tuple(r | 1 << i for i, r in enumerate(rows))
+    labels = tuple(f"e{i}" for i in range(n))
+    closed = closure_reference(labels, [(labels[i], labels[j]) for i in range(n)
+                                        for j in range(n) if rows[i] >> j & 1])
+    if closed == (rows, None):
+        assert FinitePoset(labels, rows).leq == rows
+    else:
+        with pytest.raises(ValidationError, match="transitive|antisymmetric"):
+            FinitePoset(labels, rows)
 
 
 def test_specialization_round_trip_on_samples():
@@ -329,6 +385,15 @@ def test_enumeration_cap():
     big = random_space(5, 6)
     with pytest.raises(ResourceCapError):
         enumerate_continuous_maps(big, big, Caps(max_maps=100))
+
+
+def test_map_enumeration_has_no_depth_limit():
+    caps = Caps(max_points=2000)
+    labels = tuple(f"p{i}" for i in range(1100))
+    x = from_poset(FinitePoset.from_pairs(labels, []), caps)
+    point = from_poset(FinitePoset.from_pairs(("z",), []))
+    maps = enumerate_continuous_maps(x, point, caps)
+    assert [f.mapping for f in maps] == [(0,) * 1100]
 
 
 def test_continuous_maps_are_monotone():

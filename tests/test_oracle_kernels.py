@@ -9,7 +9,7 @@ import itertools
 
 from hypothesis import example, given, settings
 
-from test_oracles import antichain, orders
+from test_oracles import antichain, order_space, orders
 
 from topolab import oracles, sober_target_catalog, specialization_order
 from topolab.core_space import _refined_signatures, bit_indices
@@ -119,11 +119,14 @@ def test_directed_closures_match_the_direct_closure_loop(x):
 
 @given(orders())
 @wide
-@settings(max_examples=40, deadline=None)
+@example(order_space(3, [(1, 0), (2, 0)]))  # the top has the lowest index
+@settings(max_examples=60, deadline=None)
 def test_directedness_matches_the_ordered_pair_definition(x):
     poset = specialization_order(x)
+    closures, directed = oracles._subset_tables(x.up_masks, x.down_masks)
     for mask in range(1 << x.n):
-        assert poset.is_directed_subset(mask) == is_directed_reference(poset, mask), mask
+        assert directed[mask] == is_directed_reference(poset, mask), mask
+        assert closures[mask] == x.closure(mask), mask
 
 
 @given(orders(), orders())

@@ -54,12 +54,14 @@ def antichain(n):
 @st.composite
 def orders(draw):
     """Orders on at most 6 points; the edge probability ranges over [0, 1],
-    so antichains (2^n opens) and chains both occur."""
+    so antichains (2^n opens) and chains both occur.  The points are
+    relabelled at random, so index order need not be a linear extension."""
     n = draw(st.integers(1, 6))
     p = draw(st.floats(0, 1))
+    label = draw(st.permutations(range(n)))
     pairs = list(itertools.combinations(range(n), 2))
     coins = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
-    return order_space(n, [pair for pair, u in zip(pairs, coins) if u < p])
+    return order_space(n, [(label[i], label[j]) for (i, j), u in zip(pairs, coins) if u < p])
 
 
 def assert_production_matches_oracles(x):

@@ -3,6 +3,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_oracles import orders
 
 from topolab import (
     ALL_CATEGORIES,
@@ -41,8 +44,25 @@ def box_union_opens(x, y):
     return family
 
 
+def product_rows_reference(xs):
+    """Row of each coordinate tuple: the tuples above it in every factor."""
+    coords = list(itertools.product(*(range(x.n) for x in xs)))
+    return tuple(sum(1 << t for t, d in enumerate(coords)
+                     if all(x.leq(ci, di) for x, ci, di in zip(xs, c, d)))
+                 for c in coords)
+
+
 # ---------------------------------------------------------------------------
 # products
+
+
+@given(st.lists(orders(), min_size=2, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_product_rows_match_the_coordinatewise_order(xs):
+    p = product(xs, Caps(max_points=6 ** 3))
+    assert p.up_masks == product_rows_reference(xs)
+    assert p.points == tuple("(" + ",".join(c) + ")"
+                             for c in itertools.product(*(x.points for x in xs)))
 
 
 def test_product_with_point_is_identity(vee):
