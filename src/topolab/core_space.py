@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .caps import Caps, default_caps
@@ -636,30 +636,114 @@ def enumerate_continuous_maps(x: FiniteSpace, y: FiniteSpace,
 
 
 # ---------------------------------------------------------------------------
-# homeomorphism search
+# homeomorphism by canonical form
+
+CANONICAL_CACHE_SIZE = 2048  # orders kept; a verify run meets a few hundred
 
 
-def _refined_signatures(x: FiniteSpace, y: FiniteSpace) -> list[list]:
-    """Iterated neighbourhood signatures of the points of both spaces.
+def _refine(colours: list[int], ups: list[list[int]], downs: list[list[int]]) -> list[int]:
+    """Split the colour classes until they are stable.
 
-    Each round numbers the signatures of both spaces from one table, so
-    equal ids mean equal signatures; an order isomorphism preserves them.
+    A colour is the number of points whose (colour, sorted colours above,
+    sorted colours below) is smaller, so it does not depend on the labels,
+    and each class keeps the positions it had before the split.
     """
-    spaces = (x, y)
-    ids = [[(s.down_masks[i].bit_count(), s.up_masks[i].bit_count()) for i in range(s.n)]
-           for s in spaces]
-    rows = [([list(bit_indices(m)) for m in s.up_masks],
-             [list(bit_indices(m)) for m in s.down_masks]) for s in spaces]
-    for _ in range(3):
-        table: dict = {}
-        for k, (ups, downs) in enumerate(rows):
-            prev = ids[k]
-            ids[k] = [table.setdefault((prev[i],
-                                        tuple(sorted([prev[j] for j in ups[i]])),
-                                        tuple(sorted([prev[j] for j in downs[i]]))),
-                                       len(table))
-                      for i in range(len(prev))]
-    return ids
+    cells = len(set(colours))
+    while cells < len(colours):
+        keys = [(c, tuple(sorted([colours[j] for j in up])), tuple(sorted([colours[j] for j in down])))
+                for c, up, down in zip(colours, ups, downs)]
+        start: dict = {}
+        for pos, key in enumerate(sorted(keys)):
+            start.setdefault(key, pos)
+        if len(start) == cells:
+            break
+        colours = [start[key] for key in keys]
+        cells = len(start)
+    return colours
+
+
+@lru_cache(maxsize=CANONICAL_CACHE_SIZE)
+def _canonical_form(up_rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The canonical form of the partial order whose row i is the set above i.
+
+    Returns (form, order): relabelling point order[k] as k turns the rows
+    into `form`, the least relabelled row tuple over the leaves of an
+    individualization-refinement search (McKay, *Practical graph
+    isomorphism*, 1981).  The search refines the colouring, then branches
+    on each point of the least class of more than one point, made a class
+    of its own.  Isomorphic orders have the same search tree up to the
+    isomorphism, so their forms are equal, and order_x[k] -> order_y[k] is
+    an isomorphism.  Two branches are pruned: a point whose twin (equal
+    strict rows both ways, so swapping the two is an automorphism) was
+    explored, and a point that an automorphism fixing the path maps onto an
+    explored one.  An automorphism comes from two leaves with equal forms;
+    the branch that found it leads to leaves already seen, so it is left.
+    """
+    n = len(up_rows)
+    ups = [list(bit_indices(r)) for r in up_rows]
+    downs: list[list[int]] = [[] for _ in range(n)]
+    down_rows = [0] * n
+    for i, up in enumerate(ups):
+        for j in up:
+            downs[j].append(i)
+            down_rows[j] |= 1 << i
+    twin = [(up_rows[i] ^ 1 << i, down_rows[i] ^ 1 << i) for i in range(n)]
+    autos: list[list[int]] = []
+    leaves: dict[tuple[int, ...], tuple[list[int], tuple[int, ...]]] = {}  # form -> order, path
+
+    def next_point(node: tuple) -> Optional[int]:
+        _, path, cell, explored = node
+        gens = [g for g in autos if all(g[p] == p for p in path)]
+        seen = set(explored)
+        frontier = list(explored)
+        while frontier:
+            v = frontier.pop()
+            for g in gens:
+                if g[v] not in seen:
+                    seen.add(g[v])
+                    frontier.append(g[v])
+        twins = {twin[s] for s in explored}
+        return next((w for w in cell if w not in seen and twin[w] not in twins), None)
+
+    stack: list[tuple] = []  # nodes (colours, path, cell, explored); stack[d] has a path of d points
+    colours, path = _refine([0] * n, ups, downs), ()
+    while True:
+        if len(set(colours)) == n:
+            order = [0] * n
+            for i, c in enumerate(colours):
+                order[c] = i
+            form = tuple([sum([1 << colours[j] for j in ups[i]]) for i in order])
+            if form in leaves:
+                seen_order, seen_path = leaves[form]
+                auto = [0] * n
+                for i, j in zip(seen_order, order):
+                    auto[i] = j
+                autos.append(auto)
+                # back to where the two paths part: the rest of this branch
+                # is the image of the branch already explored
+                d = next(k for k, (u, v) in enumerate(zip(seen_path, path)) if u != v)
+                del stack[d + 1:]
+            else:
+                leaves[form] = (order, path)
+        else:
+            size = [0] * n
+            for c in colours:
+                size[c] += 1
+            least = next(c for c in range(n) if size[c] > 1)
+            stack.append((colours, path, [i for i in range(n) if colours[i] == least], []))
+        while stack:
+            w = next_point(stack[-1])
+            if w is not None:
+                break
+            stack.pop()
+        else:
+            form = min(leaves)
+            return form, tuple(leaves[form][0])
+        parent, parent_path, _, explored = stack[-1]
+        explored.append(w)
+        c = parent[w]
+        colours = [c + 1 if v == c and i != w else v for i, v in enumerate(parent)]
+        colours, path = _refine(colours, ups, downs), parent_path + (w,)
 
 
 def find_homeomorphism(x: FiniteSpace, y: FiniteSpace,
@@ -668,9 +752,8 @@ def find_homeomorphism(x: FiniteSpace, y: FiniteSpace,
 
     Both spaces are finite, hence Alexandrov, so a bijection is a
     homeomorphism iff it is an order isomorphism of the specialization
-    orders.  The search matches each point only with the points of equal
-    refined signature, and accepts a value only when it agrees with every
-    earlier assignment on the order in both directions.
+    orders, and the orders are isomorphic iff their canonical forms are
+    equal; point order_x[k] of x then goes to point order_y[k] of y.
     """
     caps = caps or default_caps()
     if x.n != y.n:
@@ -678,38 +761,14 @@ def find_homeomorphism(x: FiniteSpace, y: FiniteSpace,
     if x.n > caps.max_iso_points:
         raise ResourceCapError(f"homeomorphism search on {x.n} points",
                                "max_iso_points", caps.max_iso_points, x.n)
-    fx, fy = _refined_signatures(x, y)
-    if sorted(fx) != sorted(fy):
+    form_x, order_x = _canonical_form(x.up_masks)
+    form_y, order_y = _canonical_form(y.up_masks)
+    if form_x != form_y:
         return None
-    candidates = [[j for j in range(y.n) if fy[j] == fx[i]] for i in range(x.n)]
-    order = sorted(range(x.n), key=lambda i: len(candidates[i]))
-
-    assign = [-1] * x.n
-    used = [False] * y.n
-
-    def backtrack(k: int) -> bool:
-        if k == x.n:
-            return True
-        i = order[k]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for m in range(k):
-                p = order[m]
-                if x.leq(i, p) != y.leq(j, assign[p]) or x.leq(p, i) != y.leq(assign[p], j):
-                    ok = False
-                    break
-            if ok:
-                assign[i] = j
-                used[j] = True
-                if backtrack(k + 1):
-                    return True
-                used[j] = False
-                assign[i] = -1
-        return False
-
-    return tuple(assign) if backtrack(0) else None
+    phi = [0] * x.n
+    for i, j in zip(order_x, order_y):
+        phi[i] = j
+    return tuple(phi)
 
 
 def is_homeomorphic(x: FiniteSpace, y: FiniteSpace, caps: Caps | None = None) -> bool:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core_space import ContinuousMap, FiniteSpace, canonical_masks
+from .core_space import ContinuousMap, FiniteSpace, bit_indices, canonical_masks
 from .errors import ContractViolation, ValidationError
 
 
@@ -88,13 +88,17 @@ def _member_labels(g: ClosedFamily) -> tuple[str, ...]:
 
 
 def _inclusion_up_rows(members: tuple[int, ...]) -> list[int]:
-    """Row k is the index mask of the members containing member k."""
+    """Row k is the index mask of the members containing member k: the
+    members that contain every point of member k."""
+    containing = [0] * max(members, default=0).bit_length()  # point -> members holding it
+    for k, m in enumerate(members):
+        for p in bit_indices(m):
+            containing[p] |= 1 << k
     rows = []
     for a in members:
-        row = 0
-        for k, b in enumerate(members):
-            if a & ~b == 0:
-                row |= 1 << k
+        row = (1 << len(members)) - 1
+        for p in bit_indices(a):
+            row &= containing[p]
         rows.append(row)
     return rows
 

@@ -27,7 +27,7 @@ from .core_space import (
     check_continuous,
 )
 from .errors import ContractViolation, ResourceCapError, ValidationError
-from .families import CategoryTag, k_family
+from .families import CategoryTag
 from .hyperspaces import smyth_power
 from .oracles import Verdict, category, conjunction
 from .reflections import reflect
@@ -241,7 +241,7 @@ def check_product_reflection(xs: Sequence[FiniteSpace], c: CategoryTag,
         recovered = []
         for i, x in enumerate(xs):
             ai = project_mask(a, xs, i)
-            if ai not in k_family(x, c):
+            if ai not in rfs[i].family:
                 notes.append(f"projection of {p.render_subset(a)} is not a K-set")
             coords.append(rfs[i].family.member_position(ai))
             recovered.append(ai)

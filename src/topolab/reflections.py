@@ -16,11 +16,11 @@ from .core_space import (
     ContinuousMap,
     FinitePoset,
     FiniteSpace,
+    _canonical_form,
     bit_indices,
     check_continuous,
     enumerate_continuous_maps,
     from_poset,
-    is_homeomorphic,
 )
 from .errors import ContractViolation, UnsupportedSpaceError, ValidationError
 from .families import CategoryTag, k_family
@@ -172,7 +172,10 @@ def universal_property_report(x: FiniteSpace, c: CategoryTag,
 
 @cache
 def _catalog(max_points: int) -> tuple[FiniteSpace, ...]:
+    """The first order of each isomorphism class among the DAGs i -> j
+    (i < j) on each size in turn, told apart by their canonical forms."""
     kept: list[FiniteSpace] = []
+    forms: set[tuple[int, ...]] = set()
     for n in range(1, max_points + 1):
         labels = tuple(f"t{i}" for i in range(n))
         pairs = list(itertools.combinations(range(n), 2))
@@ -180,9 +183,10 @@ def _catalog(max_points: int) -> tuple[FiniteSpace, ...]:
             edges = [(labels[i], labels[j])
                      for k, (i, j) in enumerate(pairs) if bits >> k & 1]
             poset = FinitePoset.from_pairs(labels, edges)
-            space = from_poset(poset)
-            if not any(s.n == n and is_homeomorphic(s, space) for s in kept):
-                kept.append(space.renamed(f"sober{n}.{len(kept)}"))
+            form = _canonical_form(poset.leq)[0]
+            if form not in forms:
+                forms.add(form)
+                kept.append(from_poset(poset).renamed(f"sober{n}.{len(kept)}"))
     return tuple(kept)
 
 

@@ -1,6 +1,7 @@
 """Core space construction, operators, continuous maps, and their oracles."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -508,6 +509,46 @@ def test_homeomorphism_cap():
 def test_homeomorphism_on_shuffled_random_spaces():
     base = random_space(77, 6)
     assert is_homeomorphic(base, relabeled(base, [3, 0, 5, 1, 4, 2]))
+
+
+def order_of(n, pairs):
+    labels = tuple(f"p{i}" for i in range(n))
+    return from_poset(FinitePoset.from_pairs(labels, [(labels[i], labels[j]) for i, j in pairs]),
+                      Caps(max_points=n))
+
+
+SYMMETRIC_ORDERS = {
+    "8 disjoint 2-chains": order_of(16, [(2 * i, 2 * i + 1) for i in range(8)]),
+    "a bottom under 7 parallel 2-chains": order_of(
+        15, [(0, 2 * i + 1) for i in range(7)] + [(2 * i + 1, 2 * i + 2) for i in range(7)]),
+    "the 16-point antichain": order_of(16, []),
+    "the 8+8 crown": order_of(16, [(i, 8 + j) for i in range(8) for j in range(8) if i != j]),
+    "2^4": order_of(16, [(a, b) for a in range(16) for b in range(16) if a != b and a & ~b == 0]),
+}
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_ORDERS)
+def test_homeomorphism_on_symmetric_orders(name):
+    """Orders with large automorphism groups, where a search that does not
+    prune by automorphisms meets up to n! leaves with equal forms."""
+    caps = Caps(max_points=16, max_iso_points=16)
+    x = SYMMETRIC_ORDERS[name]
+    perm = list(range(x.n))
+    random.Random(name).shuffle(perm)
+    y = from_poset(FinitePoset(tuple(x.points[k] for k in perm),
+                               tuple_rows(specialization_order(x), perm)), caps)
+    phi = find_homeomorphism(x, y, caps)
+    assert sorted(phi) == list(range(y.n))
+    assert all(x.leq(i, j) == y.leq(phi[i], phi[j]) for i in range(x.n) for j in range(x.n))
+    rows = list(y.up_masks)
+    covers = specialization_order(y).covers()
+    if covers:  # one cover removed
+        i, j = covers[0]
+        rows[i] &= ~(1 << j)
+    else:  # the antichain has none: one added
+        rows[0] |= 1 << 1
+    z = from_poset(FinitePoset(y.points, tuple(rows)), caps)
+    assert find_homeomorphism(x, z, caps) is None
 
 
 def tuple_rows(poset, perm):

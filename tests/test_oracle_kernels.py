@@ -3,16 +3,30 @@
 The oracles and the map layer work on per-call index lists and bitsets;
 the references here are the direct loops they replace, kept only in the
 tests.  Every comparison is exact: the same verdict and reason, the same
-family, the same closures, the same signatures."""
+family, the same closures, the same rows.  The canonical form of an order
+is checked against its definition: a relabelling of the rows that does not
+depend on the labels, equal for two orders iff some permutation carries
+one onto the other."""
 
 import itertools
+import random
 
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from test_oracles import antichain, order_space, orders
 
-from topolab import oracles, sober_target_catalog, specialization_order
-from topolab.core_space import _refined_signatures, bit_indices
+from topolab import (
+    ALL_CATEGORIES,
+    FinitePoset,
+    from_poset,
+    k_family,
+    oracles,
+    sober_target_catalog,
+    specialization_order,
+)
+from topolab.core_space import _canonical_form, bit_indices
+from topolab.hyperspaces import _inclusion_up_rows
 from topolab.oracles import WF_MAX_COMPACTS, WF_MAX_FAMILY, Verdict
 
 
@@ -67,21 +81,36 @@ def directed_closures_reference(x):
                      if is_directed_reference(poset, mask))
 
 
-def signatures_reference(x, y):
-    """Three rounds of neighbourhood signatures, the rows re-read each round."""
-    spaces = (x, y)
-    ids = [[(s.down_masks[i].bit_count(), s.up_masks[i].bit_count()) for i in range(s.n)]
-           for s in spaces]
-    for _ in range(3):
-        table = {}
-        for k, s in enumerate(spaces):
-            prev = ids[k]
-            ids[k] = [table.setdefault((prev[i],
-                                        tuple(sorted(prev[j] for j in bit_indices(s.up_masks[i]))),
-                                        tuple(sorted(prev[j] for j in bit_indices(s.down_masks[i])))),
-                                       len(table))
-                      for i in range(s.n)]
-    return ids
+def relabelled_rows(rows, order):
+    """The rows with point order[k] renamed k."""
+    new = {old: k for k, old in enumerate(order)}
+    return tuple(sum(1 << new[j] for j in bit_indices(rows[i])) for i in order)
+
+
+def isomorphic_by_permutations(x, y):
+    """Some bijection of the points carries the order of x onto that of y."""
+    return x.n == y.n and any(relabelled_rows(x.up_masks, perm) == y.up_masks
+                              for perm in itertools.permutations(range(x.n)))
+
+
+def inclusion_rows_reference(members):
+    """Each pair of members tested for inclusion."""
+    return [sum(1 << k for k, b in enumerate(members) if a & ~b == 0) for a in members]
+
+
+def bipartite_order(lows, ups):
+    """Points 0..lows-1 below, and point lows + u above the lows in ups[u]."""
+    rows = [1 << i for i in range(lows + len(ups))]
+    for u, below in enumerate(ups):
+        for i in below:
+            rows[i] |= 1 << (lows + u)
+    return tuple(rows)
+
+
+# Colour refinement cannot split these: every point above has two points
+# below it and every point below two above, but a 4-cycle and a 6-cycle of
+# covers are not isomorphic, so the upper points are not all alike.
+C4_AND_C6 = bipartite_order(5, [(0, 1), (0, 1), (2, 3), (3, 4), (4, 2)])
 
 
 # the wide cases: 15 and 31 nonempty opens, under WF_MAX_COMPACTS
@@ -129,10 +158,46 @@ def test_directedness_matches_the_ordered_pair_definition(x):
         assert closures[mask] == x.closure(mask), mask
 
 
-@given(orders(), orders())
+@given(orders(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_canonical_form_is_a_relabelling_that_ignores_the_labels(x, rng):
+    form, order = _canonical_form(x.up_masks)
+    assert sorted(order) == list(range(x.n))
+    assert relabelled_rows(x.up_masks, order) == form
+    perm = list(range(x.n))
+    rng.shuffle(perm)
+    assert _canonical_form(relabelled_rows(x.up_masks, perm))[0] == form
+
+
+@given(orders(), orders(), st.booleans(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_canonical_forms_agree_with_the_permutation_test(x, y, relabel, rng):
+    if relabel:  # half of the pairs are isomorphic by construction
+        perm = list(range(x.n))
+        rng.shuffle(perm)
+        y = from_poset(FinitePoset(x.points, relabelled_rows(x.up_masks, perm)))
+    same = _canonical_form(x.up_masks)[0] == _canonical_form(y.up_masks)[0]
+    assert same == isomorphic_by_permutations(x, y)
+
+
+def test_canonical_form_where_refinement_cannot_tell_points_apart():
+    form, order = _canonical_form(C4_AND_C6)
+    assert relabelled_rows(C4_AND_C6, order) == form
+    rng = random.Random(0)
+    perm = list(range(len(C4_AND_C6)))
+    for _ in range(30):
+        rng.shuffle(perm)
+        assert _canonical_form(relabelled_rows(C4_AND_C6, perm))[0] == form
+
+
+@given(orders())
+@wide
 @settings(max_examples=40, deadline=None)
-def test_signatures_match_the_per_round_rows(x, y):
-    assert _refined_signatures(x, y) == signatures_reference(x, y)
+def test_inclusion_rows_match_the_pairwise_scan(x):
+    families = [k_family(x, c).members for c in ALL_CATEGORIES]
+    families.append(tuple(x.full_mask ^ u for u in x.opens if u))  # the Smyth order
+    for members in families:
+        assert _inclusion_up_rows(members) == inclusion_rows_reference(members)
 
 
 def test_kernels_match_on_the_catalog():
@@ -141,5 +206,8 @@ def test_kernels_match_on_the_catalog():
         assert oracles.well_filtered(x) == well_filtered_reference(x)
         assert oracles.rudin_sets_by_filtered_enumeration(x) == rudin_reference(x, 3)
         assert oracles.directed_closure_masks(x) == directed_closures_reference(x)
-    for x, y in itertools.product(catalog, repeat=2):
-        assert _refined_signatures(x, y) == signatures_reference(x, y)
+    forms = [_canonical_form(x.up_masks)[0] for x in catalog]
+    assert len(set(forms)) == len(catalog)
+    for x, form in zip(catalog, forms):
+        for perm in itertools.permutations(range(x.n)):
+            assert _canonical_form(relabelled_rows(x.up_masks, perm))[0] == form

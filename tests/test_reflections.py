@@ -4,6 +4,7 @@ verifier, and dcpo completion."""
 import itertools
 
 import pytest
+from test_oracle_kernels import isomorphic_by_permutations
 
 from topolab import (
     ALL_CATEGORIES,
@@ -162,9 +163,28 @@ def test_universal_property_vee_against_catalog(vee):
 
 
 def test_sober_catalog_size():
-    catalog = sober_target_catalog(4)
-    assert len(catalog) == 24  # 1 + 2 + 5 + 16 isomorphism classes
-    assert len({s.n for s in catalog}) == 4
+    """One space per unlabelled poset: 1, 2, 5, 16, 63, 318 on 1 to 6
+    points (OEIS A000112)."""
+    assert len(sober_target_catalog(4)) == 24
+    assert len(sober_target_catalog(5)) == 87
+    catalog = sober_target_catalog(6)
+    assert [sum(s.n == n for s in catalog) for n in range(1, 7)] == [1, 2, 5, 16, 63, 318]
+
+
+def test_sober_catalog_keeps_the_first_order_of_each_class():
+    """The DAGs i -> j (i < j) in the catalog's walk, each kept unless a
+    permutation carries an earlier kept one onto it."""
+    kept = []
+    for n in range(1, 5):
+        labels = tuple(f"t{i}" for i in range(n))
+        pairs = list(itertools.combinations(labels, 2))
+        for bits in range(1 << len(pairs)):
+            x = from_poset(FinitePoset.from_pairs(
+                labels, [p for k, p in enumerate(pairs) if bits >> k & 1]))
+            if not any(isomorphic_by_permutations(s, x) for s in kept):
+                kept.append(x)
+    assert [(s.name, s.points, s.up_masks) for s in sober_target_catalog(4)] == \
+        [(f"sober{s.n}.{k}", s.points, s.up_masks) for k, s in enumerate(kept)]
 
 
 # ---------------------------------------------------------------------------
