@@ -34,9 +34,7 @@ from .families import (
     irreducible_closed,
     is_irreducible_closed_set,
     is_irreducible_subset,
-    is_k_set,
     k_family,
-    kset_image_check,
     point_closures,
     rudin_sets,
     rudin_witness_search,

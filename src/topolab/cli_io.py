@@ -307,14 +307,11 @@ def _parse_brace_groups(rest: str, lineno: int) -> list[set[str]]:
 def render(space: Space) -> str:
     """Space document text; parse(render(s)) rebuilds an equal space."""
     if isinstance(space, SymbolicSpace):
-        if space.variant is SymbolicVariant.FINITE:
-            return render(space.finite)
         return f"space {space.name or space.variant.value}\n" \
                f"symbolic {space.variant.value}\n"
     name = space.name if space.name and " " not in space.name else "space"
     lines = [f"space {name}", "points " + " ".join(space.points)]
-    poset = specialization_order(space)
-    for i, j in poset.covers():
+    for i, j in space.covers():
         lines.append(f"order {space.points[i]} < {space.points[j]}")
     return "\n".join(lines) + "\n"
 
@@ -337,15 +334,12 @@ def to_jsonable(obj) -> dict:
             "opens": [_mask_labels(obj, u) for u in obj.opens],
         }
     if isinstance(obj, SymbolicSpace):
-        body = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "kind": "symbolic_space",
             "variant": obj.variant.value,
             "name": obj.name,
         }
-        if obj.variant is SymbolicVariant.FINITE:
-            body["finite"] = to_jsonable(obj.finite)
-        return body
     if isinstance(obj, FinitePoset):
         return {
             "schema_version": SCHEMA_VERSION,
@@ -397,9 +391,7 @@ def to_jsonable(obj) -> dict:
             "kind": "symbolic_reflection",
             "category": obj.category.value,
             "base": obj.base.variant.value,
-            "space": (obj.space.variant.value
-                      if obj.space.variant is not SymbolicVariant.FINITE
-                      else to_jsonable(obj.space.finite)),
+            "space": obj.space.variant.value,
             "added_points": list(obj.added_points),
         }
     if isinstance(obj, PropertyReport):
@@ -469,15 +461,12 @@ def render_dot(obj) -> str:
     if isinstance(obj, SymbolicReflection):
         return render_dot(obj.space)
     if isinstance(obj, SymbolicSpace):
-        if obj.variant is SymbolicVariant.FINITE:
-            return render_dot(obj.finite)
         return _render_dot_symbolic(obj)
     space = obj
-    poset = specialization_order(space)
     lines = [f'digraph "{_dot_escape(space.name or "space")}" {{', "  rankdir=BT;"]
     for p in space.points:
         lines.append(f'  "{_dot_escape(p)}";')
-    for i, j in poset.covers():
+    for i, j in space.covers():
         lines.append(f'  "{_dot_escape(space.points[i])}" -> "{_dot_escape(space.points[j])}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -1045,14 +1034,13 @@ def _space_summary(space: Space) -> str:
                 f"({space.variant.value})\n"
                 f"sober={preds.sober} d_space={preds.d_space} "
                 f"well_filtered={preds.well_filtered} compact={preds.compact}")
-    poset = specialization_order(space)
     lines = [
         # complement is a bijection from the opens onto the closed sets
         f"space {space.name or '?'}: {space.n} points, {space.open_count} opens, "
         f"{space.open_count} closed sets",
         "points: " + " ".join(space.points),
         "order:  " + (", ".join(
-            f"{space.points[i]} < {space.points[j]}" for i, j in poset.covers())
+            f"{space.points[i]} < {space.points[j]}" for i, j in space.covers())
             or "(discrete)"),
     ]
     return "\n".join(lines)

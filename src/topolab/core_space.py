@@ -99,6 +99,17 @@ def _transitive_closure(rows: Sequence[int]) -> list[int]:
     return rows
 
 
+def _transpose(rows: Sequence[int]) -> tuple[int, ...]:
+    """The converse relation: bit i of row j is bit j of row i.  The rows are
+    written as binary strings, highest row first, so that the k-th column,
+    read down, is the binary numeral of row k of the result (one string pass
+    per row instead of one step per related pair, which a long chain has
+    quadratically many of)."""
+    width = f"0{len(rows)}b"
+    columns = [int("".join(c), 2) for c in zip(*[format(r, width) for r in reversed(rows)])]
+    return tuple(reversed(columns))
+
+
 @dataclass(frozen=True)
 class FinitePoset:
     """A finite partial order; row i of `leq` is the mask of elements above i."""
@@ -181,28 +192,7 @@ class FinitePoset:
 
     @cached_property
     def down_rows(self) -> tuple[int, ...]:
-        rows = [0] * self.n
-        for i in range(self.n):
-            for j in bit_indices(self.leq[i]):
-                rows[j] |= 1 << i
-        return tuple(rows)
-
-    def lower_closure(self, mask: int) -> int:
-        out = 0
-        for i in bit_indices(mask):
-            out |= self.down_rows[i]
-        return out
-
-    def covers(self) -> list[tuple[int, int]]:
-        """Hasse pairs (i, j) with i < j and nothing strictly between."""
-        out = []
-        for i in range(self.n):
-            strict = self.leq[i] & ~(1 << i)
-            for j in bit_indices(strict):
-                between = strict & self.down_rows[j] & ~(1 << j)
-                if not between:
-                    out.append((i, j))
-        return out
+        return _transpose(self.leq)
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +376,32 @@ class FiniteSpace:
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
-        rows = [0] * self.n
-        for i in range(self.n):
-            for j in bit_indices(self.up_masks[i]):
-                rows[j] |= 1 << i
-        return tuple(rows)
+        return _transpose(self.up_masks)
+
+    def covers(self) -> list[tuple[int, int]]:
+        """Hasse pairs (i, j) of the specialization order, i < j with nothing
+        strictly between, ordered by i and then j.
+
+        The points covering i are the minimal points of its strict up-row.
+        One is found by stepping down from any point of the row while a
+        point of the row lies below; dropping what it reaches leaves the
+        others minimal.  A row costs the descents to its covers, not a test
+        of every point above i; on a chain each descent is one step."""
+        up, down = self.up_masks, self.down_masks
+        out = []
+        for i, row in enumerate(up):
+            rest = row & ~(1 << i)
+            found = 0
+            while rest:
+                low = rest & -rest
+                below = down[low.bit_length() - 1] & rest & ~low
+                while below:
+                    low = below & -below
+                    below = down[low.bit_length() - 1] & rest & ~low
+                found |= low
+                rest &= ~up[low.bit_length() - 1]
+            out += [(i, j) for j in bit_indices(found)]
+        return out
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -681,12 +692,8 @@ def _canonical_form(up_rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[in
     """
     n = len(up_rows)
     ups = [list(bit_indices(r)) for r in up_rows]
-    downs: list[list[int]] = [[] for _ in range(n)]
-    down_rows = [0] * n
-    for i, up in enumerate(ups):
-        for j in up:
-            downs[j].append(i)
-            down_rows[j] |= 1 << i
+    down_rows = _transpose(up_rows)
+    downs = [list(bit_indices(r)) for r in down_rows]
     twin = [(up_rows[i] ^ 1 << i, down_rows[i] ^ 1 << i) for i in range(n)]
     autos: list[list[int]] = []
     leaves: dict[tuple[int, ...], tuple[list[int], tuple[int, ...]]] = {}  # form -> order, path

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .core_space import ContinuousMap, FiniteSpace, bit_indices, canonical_masks, mask_key
+from .core_space import FiniteSpace, bit_indices, canonical_masks, mask_key
 from .errors import ValidationError
 from .hyperspaces import ClosedFamily
 
@@ -160,21 +160,6 @@ def k_family(x: FiniteSpace, c: CategoryTag) -> ClosedFamily:
     with Irr_c(x), which the suite checks definitionally.)
     """
     return ClosedFamily(x, x.down_masks, label=c.family_label)
-
-
-def is_k_set(x: FiniteSpace, a: int, c: CategoryTag) -> bool:
-    """A subset is a K-set iff its closure is a member of the K-family."""
-    if a == 0:
-        return False
-    return x.closure(a) in k_family(x, c)
-
-
-def kset_image_check(f: ContinuousMap, a: int, c: CategoryTag) -> bool:
-    """Image closures of K-sets are K-sets: cl(f(a)) must land in the
-    target's K-family whenever `a` belongs to the source's."""
-    if a not in k_family(f.source, c):
-        raise ValidationError("the given set is not a member of the source K-family")
-    return f.target.closure(f.image_mask(a)) in k_family(f.target, c)
 
 
 # ---------------------------------------------------------------------------

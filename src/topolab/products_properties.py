@@ -33,7 +33,6 @@ from .oracles import Verdict, category, conjunction
 from .reflections import reflect
 from .symbolic import (
     SymbolicSpace,
-    SymbolicVariant,
     sym_family,
     sym_predicates,
     sym_product_irr,
@@ -293,11 +292,8 @@ def check_kspace_product(xs: Sequence[Union[FiniteSpace, SymbolicSpace]],
     every such pair is a pair of point closures.  The finite factor's half
     of every branch is its membership oracle."""
     caps = caps or default_caps()
-    symbolic = [x for x in xs if isinstance(x, SymbolicSpace)
-                and x.variant is not SymbolicVariant.FINITE]
-    finite = [x.finite if isinstance(x, SymbolicSpace) else x for x in xs
-              if not (isinstance(x, SymbolicSpace)
-                      and x.variant is not SymbolicVariant.FINITE)]
+    symbolic = [x for x in xs if isinstance(x, SymbolicSpace)]
+    finite = [x for x in xs if not isinstance(x, SymbolicSpace)]
     if not symbolic:
         p = product(finite, caps)
         return KSpaceProductResult(c, category(p, c),

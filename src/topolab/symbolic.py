@@ -35,10 +35,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
 
-from .core_space import FiniteSpace, is_homeomorphic
+from .core_space import FiniteSpace
 from .errors import UnsupportedSpaceError, ValidationError
-from .families import CategoryTag, irreducible_closed, point_closures
-from .hyperspaces import ClosedFamily
+from .families import CategoryTag
 
 GENERIC_POINT = "⊛"  # the adjoined generic point is always labelled so
 OMEGA_POINT = "ω"
@@ -49,7 +48,6 @@ class SymbolicVariant(Enum):
     OMEGA_PLUS_ONE = "omega_plus_one"
     COFINITE = "cofinite"
     COFINITE_PLUS_TOP = "cofinite_plus_top"
-    FINITE = "finite"
 
 
 CHAIN_VARIANTS = (SymbolicVariant.OMEGA_CHAIN, SymbolicVariant.OMEGA_PLUS_ONE)
@@ -59,15 +57,7 @@ COFINITE_VARIANTS = (SymbolicVariant.COFINITE, SymbolicVariant.COFINITE_PLUS_TOP
 @dataclass(frozen=True)
 class SymbolicSpace:
     variant: SymbolicVariant
-    finite: Optional[FiniteSpace] = None
     name: str = field(default="", compare=False)
-
-    def __post_init__(self):
-        if self.variant is SymbolicVariant.FINITE:
-            if self.finite is None:
-                raise ValidationError("finite-embedded symbolic space needs a space")
-        elif self.finite is not None:
-            raise ValidationError("only the finite variant carries a finite space")
 
     @property
     def adjoined_point(self) -> Optional[str]:
@@ -87,11 +77,7 @@ COFINITE_PLUS_TOP = SymbolicSpace(SymbolicVariant.COFINITE_PLUS_TOP,
 
 
 def sym_space_iso(a: SymbolicSpace, b: SymbolicSpace) -> bool:
-    if a.variant is not b.variant:
-        return False
-    if a.variant is SymbolicVariant.FINITE:
-        return is_homeomorphic(a.finite, b.finite)
-    return True
+    return a.variant is b.variant
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +155,13 @@ def open_complement(space: SymbolicSpace, c: SymbolicClosed) -> SymbolicOpen:
         if c.kind == "all":
             return open_empty()
         raise UnsupportedSpaceError("finite-set descriptors have no chain complement")
-    if space.variant in COFINITE_VARIANTS:
-        if c.kind == "empty":
-            return open_cofinite()
-        if c.kind == "finite_set":
-            return open_cofinite(c.elems)
-        if c.kind == "all":
-            return open_empty()
-        raise UnsupportedSpaceError("down descriptors have no cofinite complement")
-    raise UnsupportedSpaceError("no symbolic complement for this variant")
+    if c.kind == "empty":
+        return open_cofinite()
+    if c.kind == "finite_set":
+        return open_cofinite(c.elems)
+    if c.kind == "all":
+        return open_empty()
+    raise UnsupportedSpaceError("down descriptors have no cofinite complement")
 
 
 def open_contains(space: SymbolicSpace, o: SymbolicOpen, point: Union[int, str]) -> bool:
@@ -294,30 +278,10 @@ def _family_key(which: Union[str, CategoryTag]) -> str:
     raise ValidationError(f"unknown family selector {which!r}")
 
 
-def sym_family(s: SymbolicSpace, which: Union[str, CategoryTag]
-               ) -> Union[SymbolicFamily, ClosedFamily]:
-    """The requested closed-set family, exact.  Finite-embedded spaces
-    delegate to the finite enumeration and return an ordinary family."""
+def sym_family(s: SymbolicSpace, which: Union[str, CategoryTag]) -> SymbolicFamily:
+    """The requested closed-set family, exact."""
     key = _family_key(which)
-    if s.variant is SymbolicVariant.FINITE:
-        from .families import directed_closures, k_family, rudin_sets
-
-        x = s.finite
-        if key == "sc":
-            return point_closures(x)
-        if key == "dc":
-            return directed_closures(x)
-        if key == "rd":
-            return rudin_sets(x).family
-        if key == "irr":
-            return irreducible_closed(x)
-        return k_family(x, {"k_sob": CategoryTag.SOBRIETY,
-                            "k_d": CategoryTag.D_SPACE,
-                            "k_wf": CategoryTag.WELL_FILTERED}[key])
-    table = _INCLUDES_ALL.get(s.variant)
-    if table is None:
-        raise UnsupportedSpaceError(f"no symbolic families for {s.variant}")
-    return SymbolicFamily(s, key, table[key])
+    return SymbolicFamily(s, key, _INCLUDES_ALL[s.variant][key])
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +313,6 @@ def sym_predicates(s: SymbolicSpace) -> SymbolicPredicates:
     point closure (the identity map forces the collapse on actual objects),
     and passes it when the family collapses, the construction of the
     reflection being an object of the category."""
-    if s.variant is SymbolicVariant.FINITE:  # finite T0 spaces are sober, hence all
-        return SymbolicPredicates(True, True, True, True)
     sober = sym_family(s, CategoryTag.SOBRIETY).members_are_point_closures()
     wf = sym_family(s, CategoryTag.WELL_FILTERED).members_are_point_closures()
     d = sym_family(s, "dc").members_are_point_closures()
@@ -378,73 +340,32 @@ class SymbolicEmbedding:
             return closed_all()
         if self.base.variant in CHAIN_VARIANTS:
             return closed_down(point)
-        if self.base.variant in COFINITE_VARIANTS:
-            return closed_finite({point})
-        raise UnsupportedSpaceError("no symbolic embedding for this variant")
+        return closed_finite({point})
 
 
 @dataclass(frozen=True)
 class SymbolicReflection:
     category: CategoryTag
     base: SymbolicSpace
-    family: Union[SymbolicFamily, ClosedFamily]
+    family: SymbolicFamily
     space: SymbolicSpace
     added_points: tuple[str, ...]
-    embedding: object  # SymbolicEmbedding, or a ContinuousMap when finite
-
-
-_REFLECT_TABLE = {
-    SymbolicVariant.OMEGA_CHAIN: {
-        CategoryTag.SOBRIETY: SymbolicVariant.OMEGA_PLUS_ONE,
-        CategoryTag.D_SPACE: SymbolicVariant.OMEGA_PLUS_ONE,
-        CategoryTag.WELL_FILTERED: SymbolicVariant.OMEGA_PLUS_ONE,
-    },
-    SymbolicVariant.OMEGA_PLUS_ONE: {c: SymbolicVariant.OMEGA_PLUS_ONE
-                                     for c in CategoryTag},
-    SymbolicVariant.COFINITE: {
-        CategoryTag.SOBRIETY: SymbolicVariant.COFINITE_PLUS_TOP,
-        CategoryTag.D_SPACE: SymbolicVariant.COFINITE,
-        CategoryTag.WELL_FILTERED: SymbolicVariant.COFINITE_PLUS_TOP,
-    },
-    SymbolicVariant.COFINITE_PLUS_TOP: {c: SymbolicVariant.COFINITE_PLUS_TOP
-                                        for c in CategoryTag},
-}
+    embedding: SymbolicEmbedding
 
 
 def sym_reflect(s: SymbolicSpace, c: CategoryTag) -> SymbolicReflection:
     """The reflection computed from the closed-form family: the hyperspace of
     the K-family under the hit topology.  When the family is the point
     closures the reflection is the space itself; when it additionally owns
-    the whole carrier the reflection adjoins exactly one point whose closure
-    is everything."""
-    if s.variant is SymbolicVariant.FINITE:
-        from .reflections import reflect
-
-        r = reflect(s.finite, c)
-        return SymbolicReflection(
-            c, s, r.family,
-            SymbolicSpace(SymbolicVariant.FINITE, finite=r.space, name=r.space.name),
-            (), r.embedding,
-        )
-    table = _REFLECT_TABLE.get(s.variant)
-    if table is None:
-        raise UnsupportedSpaceError(f"no symbolic reflection for {s.variant}")
+    the whole carrier, which no point of the space has as its closure, the
+    reflection adjoins exactly one point whose closure is everything."""
     family = sym_family(s, c)
-    target_variant = table[c]
-    # Consistency: one point is adjoined iff the family strictly exceeds the
-    # point closures, and then its closure is the whole carrier.
-    grows = family.includes_all and s.adjoined_point is None
-    if grows != (target_variant is not s.variant):
-        raise ValidationError("reflection table out of step with the families")
-    if target_variant is s.variant:
-        target = s
-        added: tuple[str, ...] = ()
+    if family.includes_all and s.adjoined_point is None:
+        target = OMEGA_PLUS_ONE if s.variant in CHAIN_VARIANTS else COFINITE_PLUS_TOP
+        added: tuple[str, ...] = (target.adjoined_point,)
     else:
-        target = {SymbolicVariant.OMEGA_PLUS_ONE: OMEGA_PLUS_ONE,
-                  SymbolicVariant.COFINITE_PLUS_TOP: COFINITE_PLUS_TOP}[target_variant]
-        added = (target.adjoined_point,)
-    return SymbolicReflection(c, s, family, target, added,
-                              SymbolicEmbedding(s, target))
+        target, added = s, ()
+    return SymbolicReflection(c, s, family, target, added, SymbolicEmbedding(s, target))
 
 
 def reflection_open_of(base: SymbolicSpace, target: SymbolicSpace,
@@ -485,8 +406,4 @@ class SymbolicProductIrr:
 
 
 def sym_product_irr(s: SymbolicSpace, f: FiniteSpace) -> SymbolicProductIrr:
-    if s.variant is SymbolicVariant.FINITE:
-        raise UnsupportedSpaceError(
-            "use the finite product directly for finite-embedded factors"
-        )
     return SymbolicProductIrr(s, f, sym_family(s, "irr"))

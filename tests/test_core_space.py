@@ -36,7 +36,7 @@ from topolab import (
     specialization_order,
 )
 from topolab.caps import Caps
-from topolab.core_space import bit_indices, compress_mask
+from topolab.core_space import _transpose, bit_indices, compress_mask
 
 
 def brute_force_upper_sets(poset):
@@ -223,12 +223,19 @@ def test_operators_match_definitional_oracles():
         assert space.interior(a) == interior_oracle(space, a)
 
 
+def down_set_oracle(space, a):
+    """The points below a point of a, the order read off the opens: j <= i
+    iff every open holding j holds i."""
+    return sum(1 << j for j in range(space.n)
+               if any(all(u >> i & 1 for u in space.opens if u >> j & 1)
+                      for i in range(space.n) if a >> i & 1))
+
+
 def test_closure_is_down_set_in_poset_spaces():
     for seed in (3, 11, 29):
         space = random_space(seed, 5)
-        poset = specialization_order(space)
         for a in range(1 << space.n):
-            assert space.closure(a) == poset.lower_closure(a)
+            assert space.closure(a) == down_set_oracle(space, a)
 
 
 @given(small_spaces, subsets, subsets)
@@ -309,6 +316,32 @@ def test_open_lattice_view_names_its_cap(monkeypatch):
     # a space built from its opens keeps them as the view
     y = FiniteSpace(x.points, x.opens)
     assert y.__dict__["opens"] == x.opens
+
+
+def assert_rows_match_the_pairwise_order(x):
+    """Down rows and covers against the order read one pair at a time."""
+    n = x.n
+    down = tuple(sum(1 << i for i in range(n) if x.leq(i, j)) for j in range(n))
+    assert _transpose(x.up_masks) == x.down_masks == down
+    assert specialization_order(x).down_rows == down
+    below = [[i != j and x.leq(i, j) for j in range(n)] for i in range(n)]
+    assert x.covers() == [(i, j) for i in range(n) for j in range(n) if below[i][j]
+                          and not any(below[i][k] and below[k][j] for k in range(n))]
+
+
+@given(orders())
+@settings(max_examples=60, deadline=None)
+def test_transpose_and_covers_on_orders(x):
+    assert_rows_match_the_pairwise_order(x)
+
+
+def test_transpose_and_covers_past_one_machine_word():
+    caps = Caps(max_points=80)
+    chain = from_poset(FinitePoset.from_pairs(
+        [f"c{i}" for i in range(70)], [(f"c{i}", f"c{i + 1}") for i in range(69)]), caps)
+    for x in (chain, random_space(5, 16, caps), random_space(6, 70, caps)):
+        assert_rows_match_the_pairwise_order(x)
+    assert chain.covers() == [(i, i + 1) for i in range(69)]
 
 
 @given(orders())
@@ -541,7 +574,7 @@ def test_homeomorphism_on_symmetric_orders(name):
     assert sorted(phi) == list(range(y.n))
     assert all(x.leq(i, j) == y.leq(phi[i], phi[j]) for i in range(x.n) for j in range(x.n))
     rows = list(y.up_masks)
-    covers = specialization_order(y).covers()
+    covers = y.covers()
     if covers:  # one cover removed
         i, j = covers[0]
         rows[i] &= ~(1 << j)

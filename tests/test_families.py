@@ -10,15 +10,11 @@ from topolab import (
     ContractViolation,
     RudinWitness,
     ValidationError,
-    continuous_map,
     directed_closures,
     enumerate_continuous_maps,
-    identity_map,
     irreducible_closed,
     is_irreducible_closed_set,
-    is_k_set,
     k_family,
-    kset_image_check,
     point_closures,
     random_space,
     rudin_sets,
@@ -208,33 +204,16 @@ def test_family_chain():
         assert sc == irr
 
 
-def test_k_membership_is_closure_invariant():
-    space = random_space(55, 5)
-    for c in ALL_CATEGORIES:
-        for a in range(1, 1 << space.n):
-            assert is_k_set(space, a, c) == is_k_set(space, space.closure(a), c)
-
-
-def test_kset_image_check_sweep():
-    x = random_space(70, 4)
-    y = random_space(71, 4)
-    for c in ALL_CATEGORIES:
-        for f in (identity_map(x),):
-            for a in k_family(x, c).members:
-                assert kset_image_check(f, a, c)
-    for f in enumerate_continuous_maps(x, y):
-        for c in ALL_CATEGORIES:
-            for a in k_family(x, c).members:
-                assert kset_image_check(f, a, c)
-    const = continuous_map(x, y, (0,) * x.n)
-    for a in k_family(x, CategoryTag.SOBRIETY).members:
-        assert kset_image_check(const, a, CategoryTag.SOBRIETY)
-
-
-def test_kset_image_check_rejects_non_members(sierpinski):
-    with pytest.raises(ValidationError):
-        kset_image_check(identity_map(sierpinski), sierpinski.mask_of("top"),
-                         CategoryTag.SOBRIETY)
+def test_kset_image_check_sweep(sierpinski, vee):
+    """Continuous images of K-sets are K-sets: cl f(A) is in K(Y) for every
+    continuous f: X -> Y and every A in K(X)."""
+    spaces = (random_space(70, 4), random_space(71, 4), sierpinski, vee)
+    for x, y in itertools.product(spaces, repeat=2):
+        for f in enumerate_continuous_maps(x, y):
+            for c in ALL_CATEGORIES:
+                ky = k_family(y, c)
+                for a in k_family(x, c).members:
+                    assert y.closure(f.image_mask(a)) in ky
 
 
 # ---------------------------------------------------------------------------

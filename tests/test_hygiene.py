@@ -166,3 +166,43 @@ def test_production_modules_read_no_open_lattice(module):
     reads = [f"{function} (line {line})" for function, line in _lattice_reads(tree)
              if (module, function) not in LATTICE_READERS]
     assert not reads, f"{module} reads an open or closed lattice in {', '.join(reads)}"
+
+
+def _exports() -> dict[str, str]:
+    """Each name `topolab/__init__` imports from a package module, with that
+    module's name."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return {alias.asname or alias.name: node.module
+            for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names}
+
+
+def _shown_by_exports(exports: dict[str, str]) -> set[str]:
+    """Names in the return annotation of an exported function or among the
+    bases of an exported class: a result type or an error base is kept for
+    the export that shows it."""
+    shown = set()
+    for module in set(exports.values()):
+        for node in ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and node.name in exports and node.returns:
+                shown |= _used_names(node.returns)
+            elif isinstance(node, ast.ClassDef) and node.name in exports:
+                for base in node.bases:
+                    shown |= _used_names(base)
+    return shown
+
+
+def test_exports_are_referenced_outside_their_module():
+    """A public name is kept for a caller: another module of the package, a
+    test, or an export that returns or subclasses it.  Its own module and
+    the re-export do not count."""
+    tests = Path(__file__).resolve().parent
+    refs = {p.name: _references(ast.parse(p.read_text(encoding="utf-8")))
+            for p in sorted(PACKAGE.glob("*.py")) + sorted(tests.glob("*.py"))
+            if p.name != "__init__.py"}
+    exports = _exports()
+    shown = _shown_by_exports(exports)
+    unused = [f"{name} (from {module})" for name, module in exports.items()
+              if name not in shown
+              and not any(counts[name] for file, counts in refs.items() if file != f"{module}.py")]
+    assert not unused, f"exported but referenced nowhere else: {', '.join(unused)}"

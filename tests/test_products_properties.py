@@ -209,15 +209,6 @@ def test_kspace_product_omega_splits(sierpinski):
         assert res.verdict.holds and res.product_is_kspace.holds is False
 
 
-def test_kspace_product_accepts_finite_embeddings(sierpinski):
-    from topolab import SymbolicSpace
-    from topolab.symbolic import SymbolicVariant
-
-    wrapped = SymbolicSpace(SymbolicVariant.FINITE, finite=sierpinski)
-    res = check_kspace_product([COFINITE, wrapped], CategoryTag.D_SPACE)
-    assert res.verdict.holds and res.product_is_kspace.holds
-
-
 # ---------------------------------------------------------------------------
 # Smyth categories
 

@@ -5,7 +5,6 @@ import pytest
 
 from topolab import (
     CategoryTag,
-    UnsupportedSpaceError,
     sym_family,
     sym_predicates,
     sym_product_irr,
@@ -111,12 +110,6 @@ def test_plus_variants_satisfy_everything():
         assert preds.compact
 
 
-def test_finite_embedded_predicates(sierpinski):
-    preds = sym_predicates(
-        SymbolicSpace(SymbolicVariant.FINITE, finite=sierpinski))
-    assert preds.sober and preds.d_space and preds.well_filtered
-
-
 # ---------------------------------------------------------------------------
 # reflections
 
@@ -141,6 +134,31 @@ def test_cofinite_reflections_split_by_category():
     assert rw.embedding.image_of(2) == closed_finite({2})
 
 
+V = SymbolicVariant
+REFLECTED = {  # (base variant, category) -> (reflected variant, adjoined points)
+    (V.OMEGA_CHAIN, CategoryTag.SOBRIETY): (V.OMEGA_PLUS_ONE, ("ω",)),
+    (V.OMEGA_CHAIN, CategoryTag.D_SPACE): (V.OMEGA_PLUS_ONE, ("ω",)),
+    (V.OMEGA_CHAIN, CategoryTag.WELL_FILTERED): (V.OMEGA_PLUS_ONE, ("ω",)),
+    (V.OMEGA_PLUS_ONE, CategoryTag.SOBRIETY): (V.OMEGA_PLUS_ONE, ()),
+    (V.OMEGA_PLUS_ONE, CategoryTag.D_SPACE): (V.OMEGA_PLUS_ONE, ()),
+    (V.OMEGA_PLUS_ONE, CategoryTag.WELL_FILTERED): (V.OMEGA_PLUS_ONE, ()),
+    (V.COFINITE, CategoryTag.SOBRIETY): (V.COFINITE_PLUS_TOP, (GENERIC_POINT,)),
+    (V.COFINITE, CategoryTag.D_SPACE): (V.COFINITE, ()),
+    (V.COFINITE, CategoryTag.WELL_FILTERED): (V.COFINITE_PLUS_TOP, (GENERIC_POINT,)),
+    (V.COFINITE_PLUS_TOP, CategoryTag.SOBRIETY): (V.COFINITE_PLUS_TOP, ()),
+    (V.COFINITE_PLUS_TOP, CategoryTag.D_SPACE): (V.COFINITE_PLUS_TOP, ()),
+    (V.COFINITE_PLUS_TOP, CategoryTag.WELL_FILTERED): (V.COFINITE_PLUS_TOP, ()),
+}
+
+
+@pytest.mark.parametrize("variant, category", REFLECTED,
+                         ids=[f"{v.value}-{c.value}" for v, c in REFLECTED])
+def test_reflected_variant_and_added_points(variant, category):
+    r = sym_reflect(SymbolicSpace(variant, name=variant.value), category)
+    assert (r.space.variant, r.added_points) == REFLECTED[variant, category]
+    assert r.embedding.target is r.space
+
+
 def test_reflection_fixed_points():
     for space in (OMEGA_CHAIN, COFINITE):
         for c in ALL:
@@ -148,15 +166,6 @@ def test_reflection_fixed_points():
             twice = sym_reflect(once.space, c)
             assert sym_space_iso(twice.space, once.space)
             assert twice.added_points == ()
-
-
-def test_finite_embedded_reflection(vee):
-    wrapped = SymbolicSpace(SymbolicVariant.FINITE, finite=vee)
-    r = sym_reflect(wrapped, CategoryTag.SOBRIETY)
-    assert r.space.variant is SymbolicVariant.FINITE
-    from topolab import is_homeomorphic
-
-    assert is_homeomorphic(r.space.finite, vee)
 
 
 def test_compactness_transfers_to_reflections():
@@ -233,18 +242,3 @@ def test_one_point_factor_keeps_sym_irreducibles():
     prod = sym_product_irr(COFINITE, point)
     assert prod.sym_irr == sym_family(COFINITE, "irr")
 
-
-def test_unsupported_symbolic_operations(sierpinski):
-    wrapped = SymbolicSpace(SymbolicVariant.FINITE, finite=sierpinski)
-    with pytest.raises(UnsupportedSpaceError):
-        sym_product_irr(wrapped, sierpinski)
-
-
-def test_sym_family_delegates_for_finite_embeddings(vee):
-    from topolab import point_closures
-
-    wrapped = SymbolicSpace(SymbolicVariant.FINITE, finite=vee)
-    fam = sym_family(wrapped, "irr")
-    assert fam.member_set() == point_closures(vee).member_set()
-    kfam = sym_family(wrapped, CategoryTag.WELL_FILTERED)
-    assert kfam.member_set() == fam.member_set()
