@@ -5,7 +5,6 @@ closed-form computation on two symbolically presented infinite spaces."""
 from .caps import Caps, default_caps
 from .core_space import (
     ContinuousMap,
-    FinitePoset,
     FiniteSpace,
     check_continuous,
     continuous_map,
@@ -14,7 +13,6 @@ from .core_space import (
     from_poset,
     identity_map,
     is_homeomorphic,
-    specialization_order,
 )
 from .errors import (
     ContractViolation,

@@ -21,13 +21,11 @@ from typing import Optional, Sequence, Union
 from .caps import Caps, default_caps
 from .core_space import (
     ContinuousMap,
-    FinitePoset,
     FiniteSpace,
     bit_indices,
     check_continuous,
     from_poset,
     is_homeomorphic,
-    specialization_order,
 )
 from .errors import (
     ContractViolation,
@@ -147,8 +145,7 @@ def random_space(seed: int, n: int, caps: Caps | None = None) -> FiniteSpace:
         for j in range(i + 1, n):
             if rng.next_bit():
                 pairs.append((labels[i], labels[j]))
-    poset = FinitePoset.from_pairs(labels, pairs)
-    return from_poset(poset, caps).renamed(f"rand-{seed & MASK64}-{n}")
+    return from_poset(labels, pairs, caps).renamed(f"rand-{seed & MASK64}-{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +153,12 @@ def random_space(seed: int, n: int, caps: Caps | None = None) -> FiniteSpace:
 
 
 def zoo() -> dict[str, Space]:
-    sierpinski = from_poset(FinitePoset.from_pairs(("bot", "top"), [("bot", "top")]))
-    discrete2 = from_poset(FinitePoset.from_pairs(("a", "b"), []))
-    vee = from_poset(FinitePoset.from_pairs(("a", "b", "t"), [("a", "t"), ("b", "t")]))
-    wedge = from_poset(FinitePoset.from_pairs(("t", "a", "b"), [("t", "a"), ("t", "b")]))
-    diamond4 = from_poset(FinitePoset.from_pairs(
-        ("bot", "l", "r", "top"),
-        [("bot", "l"), ("bot", "r"), ("l", "top"), ("r", "top")]))
+    sierpinski = from_poset(("bot", "top"), [("bot", "top")])
+    discrete2 = from_poset(("a", "b"), [])
+    vee = from_poset(("a", "b", "t"), [("a", "t"), ("b", "t")])
+    wedge = from_poset(("t", "a", "b"), [("t", "a"), ("t", "b")])
+    diamond4 = from_poset(("bot", "l", "r", "top"),
+                          [("bot", "l"), ("bot", "r"), ("l", "top"), ("r", "top")])
     return {
         "sierpinski": sierpinski.renamed("sierpinski"),
         "discrete2": discrete2.renamed("discrete2"),
@@ -278,8 +274,7 @@ def parse(text: str) -> Space:
                 mask |= 1 << index[label]
             masks.append(mask)
         return FiniteSpace(points, masks, name=name)
-    poset = FinitePoset.from_pairs(points, order_pairs)
-    return from_poset(poset).renamed(name)
+    return from_poset(points, order_pairs).renamed(name)
 
 
 def _parse_brace_groups(rest: str, lineno: int) -> list[set[str]]:
@@ -320,10 +315,6 @@ def render(space: Space) -> str:
 # JSON rendering
 
 
-def _mask_labels(space: FiniteSpace, mask: int) -> list[str]:
-    return list(space.labels_of(mask))
-
-
 def to_jsonable(obj) -> dict:
     if isinstance(obj, FiniteSpace):
         return {
@@ -331,7 +322,7 @@ def to_jsonable(obj) -> dict:
             "kind": "finite_space",
             "name": obj.name,
             "points": list(obj.points),
-            "opens": [_mask_labels(obj, u) for u in obj.opens],
+            "opens": [list(obj.labels_of(u)) for u in obj.opens],
         }
     if isinstance(obj, SymbolicSpace):
         return {
@@ -340,14 +331,6 @@ def to_jsonable(obj) -> dict:
             "variant": obj.variant.value,
             "name": obj.name,
         }
-    if isinstance(obj, FinitePoset):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "finite_poset",
-            "elements": list(obj.elements),
-            "relations": [[obj.elements[i], obj.elements[j]]
-                          for i in range(obj.n) for j in bit_indices(obj.leq[i])],
-        }
     if isinstance(obj, ClosedFamily):
         return {
             "schema_version": SCHEMA_VERSION,
@@ -355,7 +338,7 @@ def to_jsonable(obj) -> dict:
             "label": obj.label,
             "status": "exact",
             "base": obj.base.name,
-            "members": [_mask_labels(obj.base, m) for m in obj.members],
+            "members": [list(obj.base.labels_of(m)) for m in obj.members],
         }
     if isinstance(obj, sym.SymbolicFamily):
         return {
@@ -928,13 +911,11 @@ def suite_structural(cfg: VerifyConfig) -> SuiteResult:
         res.record(oracles.sober(r.space).expect(
                        kf == frozenset(oracles.irreducible_closed_sets(x))),
                    f"{x.name}: sobriety coincidence")
-        rows = specialization_order(x)
-        comp = d_completion(rows, cfg.caps)
+        comp = d_completion(x)
         res.check(
-            comp.completed.n == rows.n
-            and is_homeomorphic(from_poset(comp.completed), x, cfg.caps),
+            comp.completed.n == x.n and is_homeomorphic(comp.completed, x, cfg.caps),
             f"{x.name}: dcpo completion is not an isomorphic copy")
-        res.record(oracles.dcpo_completion(rows, comp.completed, comp.unit),
+        res.record(oracles.dcpo_completion(x, comp.completed, comp.unit),
                    f"{x.name}: dcpo completion")
     # product irreducibility and closure-projection laws on small factors
     for _ in range(max(1, cfg.structural_samples // 2)):
@@ -1007,7 +988,7 @@ def verify(config: VerifyConfig | None = None) -> VerifyReport:
 # command line interface
 
 
-def _load_space(spec: str, caps: Caps) -> Space:
+def _load_space(spec: str) -> Space:
     if spec.startswith("zoo:"):
         return zoo_space(spec[len("zoo:"):])
     try:
@@ -1047,13 +1028,13 @@ def _space_summary(space: Space) -> str:
 
 
 def _cmd_info(args, caps: Caps) -> int:
-    space = _load_space(args.space, caps)
+    space = _load_space(args.space)
     _emit(args, space, _space_summary(space))
     return 0
 
 
 def _cmd_families(args, caps: Caps) -> int:
-    space = _load_space(args.space, caps)
+    space = _load_space(args.space)
     if isinstance(space, SymbolicSpace):
         sym_fams = {key: sym.sym_family(space, key) for key in ("sc", "dc", "rd", "irr")}
         for c in ALL_CATEGORIES:
@@ -1097,7 +1078,7 @@ _CATEGORY_FLAGS = {"sob": CategoryTag.SOBRIETY, "d": CategoryTag.D_SPACE,
 
 
 def _cmd_reflect(args, caps: Caps) -> int:
-    space = _load_space(args.space, caps)
+    space = _load_space(args.space)
     c = _CATEGORY_FLAGS[args.category]
     if isinstance(space, SymbolicSpace):
         r = sym_reflect(space, c)
@@ -1117,7 +1098,7 @@ def _cmd_reflect(args, caps: Caps) -> int:
 
 
 def _cmd_product(args, caps: Caps) -> int:
-    spaces = [_load_space(s, caps) for s in args.spaces]
+    spaces = [_load_space(s) for s in args.spaces]
     if any(isinstance(s, SymbolicSpace) for s in spaces):
         raise ValidationError("the product command takes finite spaces; "
                               "symbolic products are covered by `check`")
@@ -1127,7 +1108,7 @@ def _cmd_product(args, caps: Caps) -> int:
 
 
 def _cmd_check(args, caps: Caps) -> int:
-    space = _load_space(args.space, caps)
+    space = _load_space(args.space)
     name = args.property
     if isinstance(space, SymbolicSpace):
         preds = sym_predicates(space)

@@ -1,4 +1,5 @@
-"""Finite T0 spaces, finite posets, and continuous point maps.
+"""Finite T0 spaces, stored as their specialization orders, and continuous
+point maps.
 
 Subsets of a carrier are bit masks over the point index.  Families of
 subsets are kept sorted by (popcount, numeric value) so that every
@@ -84,115 +85,17 @@ def _upper_sets(up_rows: Sequence[int], limit: int) -> Optional[list[int]]:
     return sets
 
 
-# ---------------------------------------------------------------------------
-# posets
-
-
-def _transitive_closure(rows: Sequence[int]) -> list[int]:
-    """Warshall's algorithm on relation rows (row i is the mask of elements
-    related to i): after step k, every row holds what it reaches through
-    intermediates up to k."""
-    rows = list(rows)
-    for k in range(len(rows)):
-        row_k = rows[k]
-        rows = [r | row_k if r >> k & 1 else r for r in rows]
-    return rows
-
-
 def _transpose(rows: Sequence[int]) -> tuple[int, ...]:
-    """The converse relation: bit i of row j is bit j of row i.  The rows are
-    written as binary strings, highest row first, so that the k-th column,
-    read down, is the binary numeral of row k of the result (one string pass
-    per row instead of one step per related pair, which a long chain has
-    quadratically many of)."""
-    width = f"0{len(rows)}b"
+    """The converse relation: bit i of row j is bit j of row i, with one row
+    per bit position up to the highest set bit (n rows for an order on n
+    points, whose row i holds bit i).  The rows are written as binary
+    strings, highest row first, so that the k-th column, read down, is the
+    binary numeral of row k of the result (one string pass per row instead
+    of one step per related pair, which a long chain has quadratically many
+    of)."""
+    width = f"0{max(rows, default=0).bit_length()}b"
     columns = [int("".join(c), 2) for c in zip(*[format(r, width) for r in reversed(rows)])]
     return tuple(reversed(columns))
-
-
-@dataclass(frozen=True)
-class FinitePoset:
-    """A finite partial order; row i of `leq` is the mask of elements above i."""
-
-    elements: tuple[str, ...]
-    leq: tuple[int, ...]
-
-    def __post_init__(self):
-        elements = tuple(self.elements)
-        leq = tuple(self.leq)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "leq", leq)
-        if not elements:
-            raise ValidationError("poset must have at least one element")
-        if len(set(elements)) != len(elements):
-            raise ValidationError("poset elements must be distinct")
-        if any(not isinstance(e, str) or not e for e in elements):
-            raise ValidationError("poset element labels must be nonempty strings")
-        n = len(elements)
-        if len(leq) != n:
-            raise ValidationError("leq must have one row per element")
-        full = (1 << n) - 1
-        for i, row in enumerate(leq):
-            if row < 0 or row > full:
-                raise ValidationError(f"leq row for {elements[i]!r} is out of range")
-            if not row >> i & 1:
-                raise ValidationError(f"order is not reflexive at {elements[i]!r}")
-        # a transitive order is antisymmetric iff its rows are distinct (i <= j
-        # <= i makes rows i and j equal); otherwise the scan names a violation
-        if len(set(leq)) == n and _transitive_closure(leq) == list(leq):
-            return
-        for i in range(n):
-            for j in bit_indices(leq[i]):
-                if leq[j] & ~leq[i]:
-                    k = next(bit_indices(leq[j] & ~leq[i]))
-                    raise ValidationError(
-                        "order is not transitive: "
-                        f"{elements[i]!r} <= {elements[j]!r} <= {elements[k]!r} "
-                        f"but not {elements[i]!r} <= {elements[k]!r}"
-                    )
-                if i != j and leq[j] >> i & 1:
-                    raise ValidationError(
-                        f"order is not antisymmetric: {elements[i]!r} and "
-                        f"{elements[j]!r} are below each other"
-                    )
-
-    @classmethod
-    def from_pairs(cls, elements: Sequence[str], pairs: Iterable[tuple[str, str]]) -> "FinitePoset":
-        """Reflexive-transitive closure of a relation given as (a, b) with a <= b."""
-        elements = tuple(elements)
-        index = {e: i for i, e in enumerate(elements)}
-        n = len(elements)
-        rows = [1 << i for i in range(n)]
-        for a, b in pairs:
-            if a not in index or b not in index:
-                missing = a if a not in index else b
-                raise ValidationError(f"order mentions unknown element {missing!r}")
-            rows[index[a]] |= 1 << index[b]
-        rows = _transitive_closure(rows)
-        # in a transitive relation i <= j <= i iff rows i and j are equal, so
-        # the first element on a cycle is the least index of a repeated row,
-        # and the next index with that row is the first element it meets
-        if len(set(rows)) < n:
-            i = next(i for i, r in enumerate(rows) if rows.count(r) > 1)
-            j = rows.index(rows[i], i + 1)
-            raise ValidationError(
-                f"order contains a cycle through {elements[i]!r} and {elements[j]!r}"
-            )
-        return cls(elements, tuple(rows))
-
-    @property
-    def n(self) -> int:
-        return len(self.elements)
-
-    def index(self, label: str) -> int:
-        return self.elements.index(label)
-
-    def le(self, i: int, j: int) -> bool:
-        return bool(self.leq[i] >> j & 1)
-
-    @cached_property
-    def down_rows(self) -> tuple[int, ...]:
-        return _transpose(self.leq)
 
 
 # ---------------------------------------------------------------------------
@@ -478,20 +381,41 @@ class FiniteSpace:
         return FiniteSpace._of_order(points, rows, name)
 
 
-def from_poset(p: FinitePoset, caps: Caps | None = None) -> FiniteSpace:
-    """The space whose opens are all upper sets of `p` (its Scott topology;
-    on a finite poset every directed set has a maximum, so nothing more is
-    required of an upper set)."""
+def from_poset(points: Sequence[str], pairs: Iterable[tuple[str, str]],
+               caps: Caps | None = None) -> FiniteSpace:
+    """The space of the order generated by the pairs (a, b), read a <= b:
+    its opens are all upper sets (the Scott topology; on a finite poset
+    every directed set has a maximum, so nothing more is required of an
+    upper set).  The order is the reflexive-transitive closure of the
+    pairs, by Warshall's algorithm."""
+    points = tuple(points)
+    index = {p: i for i, p in enumerate(points)}
+    n = len(points)
+    rows = [1 << i for i in range(n)]
+    for a, b in pairs:
+        if a not in index or b not in index:
+            missing = a if a not in index else b
+            raise ValidationError(f"order mentions unknown element {missing!r}")
+        rows[index[a]] |= 1 << index[b]
+    # after step k, every row holds what it reaches through intermediates up to k
+    for k in range(n):
+        row_k = rows[k]
+        rows = [r | row_k if r >> k & 1 else r for r in rows]
+    # in a transitive relation i <= j <= i iff rows i and j are equal, so
+    # the first element on a cycle is the least index of a repeated row,
+    # and the next index with that row is the first element it meets
+    if len(set(rows)) < n:
+        i = next(i for i, r in enumerate(rows) if rows.count(r) > 1)
+        j = rows.index(rows[i], i + 1)
+        raise ValidationError(
+            f"order contains a cycle through {points[i]!r} and {points[j]!r}"
+        )
+    space = FiniteSpace._of_order(points, rows)
     caps = caps or default_caps()
-    if p.n > caps.max_points:
-        raise ResourceCapError(f"a poset of {p.n} elements", "max_points",
-                               caps.max_points, p.n)
-    return FiniteSpace._of_order(p.elements, p.leq)
-
-
-def specialization_order(x: FiniteSpace) -> FinitePoset:
-    """x <= y iff x is in the closure of {y}; a partial order because x is T0."""
-    return FinitePoset(x.points, x.up_masks)
+    if n > caps.max_points:
+        raise ResourceCapError(f"a poset of {n} elements", "max_points",
+                               caps.max_points, n)
+    return space
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core_space import ContinuousMap, FiniteSpace, bit_indices, canonical_masks
+from .core_space import ContinuousMap, FiniteSpace, _transpose, bit_indices, canonical_masks
 from .errors import ContractViolation, ValidationError
 
 
@@ -90,10 +90,7 @@ def _member_labels(g: ClosedFamily) -> tuple[str, ...]:
 def _inclusion_up_rows(members: tuple[int, ...]) -> list[int]:
     """Row k is the index mask of the members containing member k: the
     members that contain every point of member k."""
-    containing = [0] * max(members, default=0).bit_length()  # point -> members holding it
-    for k, m in enumerate(members):
-        for p in bit_indices(m):
-            containing[p] |= 1 << k
+    containing = _transpose(members)  # point -> members holding it
     rows = []
     for a in members:
         row = (1 << len(members)) - 1

@@ -19,7 +19,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .caps import Caps, default_caps
 from .core_space import (
     ContinuousMap,
-    FinitePoset,
     FiniteSpace,
     bit_indices,
     canonical_masks,
@@ -372,22 +371,22 @@ def xi_laws(f: ContinuousMap, s: SmythSpace) -> Verdict:
 # dcpo completion
 
 
-def _sup_of_directed(p: FinitePoset, mask: int) -> Optional[int]:
-    return next((i for i in bit_indices(mask) if mask & ~p.down_rows[i] == 0), None)
+def _sup_of_directed(p: FiniteSpace, mask: int) -> Optional[int]:
+    return next((i for i in bit_indices(mask) if mask & ~p.down_masks[i] == 0), None)
 
 
-def dcpo_completion(p: FinitePoset, q: FinitePoset, unit: tuple[int, ...]) -> Verdict:
+def dcpo_completion(p: FiniteSpace, q: FiniteSpace, unit: tuple[int, ...]) -> Verdict:
     """`q` is a dcpo and the map `unit` from `p` to `q` preserves directed
     suprema: every directed subset of either poset has a supremum (on a
     finite poset, a maximum), and `unit` sends each one of `p` to that of
     the image."""
     if max(p.n, q.n) > DCPO_MAX_POINTS:
         return _over("n", max(p.n, q.n), DCPO_MAX_POINTS)
-    _, q_directed = _subset_tables(q.leq, q.down_rows)
+    _, q_directed = _subset_tables(q.up_masks, q.down_masks)
     for mask in range(1, 1 << q.n):
         if q_directed[mask] and _sup_of_directed(q, mask) is None:
             return Verdict(False, "a directed subset of the completion has no supremum")
-    _, p_directed = _subset_tables(p.leq, p.down_rows)
+    _, p_directed = _subset_tables(p.up_masks, p.down_masks)
     for mask in range(1, 1 << p.n):
         if p_directed[mask]:
             sup = _sup_of_directed(p, mask)

@@ -14,7 +14,6 @@ from typing import Sequence, Union
 from .caps import Caps, default_caps
 from .core_space import (
     ContinuousMap,
-    FinitePoset,
     FiniteSpace,
     _canonical_form,
     bit_indices,
@@ -182,11 +181,11 @@ def _catalog(max_points: int) -> tuple[FiniteSpace, ...]:
         for bits in range(1 << len(pairs)):
             edges = [(labels[i], labels[j])
                      for k, (i, j) in enumerate(pairs) if bits >> k & 1]
-            poset = FinitePoset.from_pairs(labels, edges)
-            form = _canonical_form(poset.leq)[0]
+            space = from_poset(labels, edges)
+            form = _canonical_form(space.up_masks)[0]
             if form not in forms:
                 forms.add(form)
-                kept.append(from_poset(poset).renamed(f"sober{n}.{len(kept)}"))
+                kept.append(space.renamed(f"sober{n}.{len(kept)}"))
     return tuple(kept)
 
 
@@ -205,18 +204,17 @@ class DcpoCompletion:
     """The universal dcpo completion of a poset: the closed d-sets of its
     Scott space ordered by inclusion, with unit x -> cl{x}."""
 
-    base: object          # FinitePoset or the omega-chain symbolic space
-    completed: object     # FinitePoset or the omega-plus-one symbolic space
+    base: object          # FiniteSpace or the omega-chain symbolic space
+    completed: object     # FiniteSpace or the omega-plus-one symbolic space
     unit: object          # point table, or a symbolic embedding descriptor
 
 
-def d_completion(p: Union[FinitePoset, object], caps: Caps | None = None) -> DcpoCompletion:
+def d_completion(p: Union[FiniteSpace, object]) -> DcpoCompletion:
     """Finite posets complete to an isomorphic copy of themselves; the
     omega chain completes to the chain with one new top point.  The unit is
     checked to be monotone, which on finite posets preserves directed suprema
     (their maxima); `oracles.dcpo_completion` enumerates them."""
-    caps = caps or default_caps()
-    if not isinstance(p, FinitePoset):
+    if not isinstance(p, FiniteSpace):
         from . import symbolic
 
         if isinstance(p, symbolic.SymbolicSpace) and p.variant is symbolic.SymbolicVariant.OMEGA_CHAIN:
@@ -225,13 +223,12 @@ def d_completion(p: Union[FinitePoset, object], caps: Caps | None = None) -> Dcp
         raise UnsupportedSpaceError(
             "dcpo completion supports finite posets and the omega chain only"
         )
-    space = from_poset(p, caps)
-    family = k_family(space, CategoryTag.D_SPACE)
-    elements = tuple(space.render_subset(m) for m in family.members)
-    completed = FinitePoset(elements, _inclusion_up_rows(family.members))
-    unit = tuple(family.member_position(space.down_masks[i]) for i in range(p.n))
+    family = k_family(p, CategoryTag.D_SPACE)
+    completed = FiniteSpace._of_order(tuple(p.render_subset(m) for m in family.members),
+                                      _inclusion_up_rows(family.members))
+    unit = tuple(family.member_position(p.down_masks[i]) for i in range(p.n))
     for i in range(p.n):
-        for j in bit_indices(p.leq[i]):
-            if not completed.le(unit[i], unit[j]):
+        for j in bit_indices(p.up_masks[i]):
+            if not completed.leq(unit[i], unit[j]):
                 raise ContractViolation("completion unit is not monotone")
     return DcpoCompletion(p, completed, unit)

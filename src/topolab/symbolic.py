@@ -146,54 +146,6 @@ def open_cofinite(excluded=()) -> SymbolicOpen:
     return SymbolicOpen("cofinite", excluded=frozenset(excluded))
 
 
-def open_complement(space: SymbolicSpace, c: SymbolicClosed) -> SymbolicOpen:
-    if space.variant in CHAIN_VARIANTS:
-        if c.kind == "empty":
-            return open_up(0)
-        if c.kind == "down":
-            return open_up(c.n + 1)
-        if c.kind == "all":
-            return open_empty()
-        raise UnsupportedSpaceError("finite-set descriptors have no chain complement")
-    if c.kind == "empty":
-        return open_cofinite()
-    if c.kind == "finite_set":
-        return open_cofinite(c.elems)
-    if c.kind == "all":
-        return open_empty()
-    raise UnsupportedSpaceError("down descriptors have no cofinite complement")
-
-
-def open_contains(space: SymbolicSpace, o: SymbolicOpen, point: Union[int, str]) -> bool:
-    """Membership of a natural number or the adjoined point in an open."""
-    if o.kind == "empty":
-        return False
-    adjoined = space.adjoined_point
-    if isinstance(point, str):
-        if point != adjoined:
-            raise ValidationError(f"point {point!r} is not in the carrier")
-        return True  # any nonempty open contains the adjoined top point
-    if space.variant in CHAIN_VARIANTS:
-        if o.kind != "up":
-            raise UnsupportedSpaceError("chain opens are up sets")
-        return point >= o.n
-    if o.kind != "cofinite":
-        raise UnsupportedSpaceError("cofinite opens are cofinite sets")
-    return point not in o.excluded
-
-
-def closed_meets_open(space: SymbolicSpace, c: SymbolicClosed, o: SymbolicOpen) -> bool:
-    if c.kind == "empty" or o.kind == "empty":
-        return False
-    if space.variant in CHAIN_VARIANTS:
-        if c.kind == "all":
-            return True
-        return c.n >= o.n
-    if c.kind == "all":
-        return True  # a cofinite set always meets an infinite carrier
-    return bool(c.elems - o.excluded)
-
-
 def sym_open_subset(space: SymbolicSpace, a: SymbolicOpen, b: SymbolicOpen) -> bool:
     if a.kind == "empty":
         return True

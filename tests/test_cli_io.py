@@ -13,7 +13,6 @@ from test_oracles import orders
 
 from topolab import (
     DslError,
-    FinitePoset,
     FiniteSpace,
     ResourceCapError,
     SplitMix64,
@@ -248,15 +247,13 @@ def test_cap_env_override(monkeypatch):
 
 
 def test_cap_errors_name_the_field_the_value_and_the_setting(monkeypatch):
-    chain13 = FinitePoset.from_pairs([f"p{i}" for i in range(13)],
-                                     [(f"p{i}", f"p{i + 1}") for i in range(12)])
+    chain13 = ([f"p{i}" for i in range(13)], [(f"p{i}", f"p{i + 1}") for i in range(12)])
     vee = zoo_space("vee")
-    zigzag = from_poset(FinitePoset.from_pairs(
-        [f"p{i}" for i in range(6)], [("p0", "p1"), ("p2", "p1"), ("p2", "p3"),
-                                      ("p4", "p3"), ("p4", "p5")]))
+    zigzag = from_poset([f"p{i}" for i in range(6)],
+                        [("p0", "p1"), ("p2", "p1"), ("p2", "p3"), ("p4", "p3"), ("p4", "p5")])
     sites = [
         (lambda: random_space(1, 13), "max_points 12; TOPOLAB_CAP=max_points=13 "),
-        (lambda: from_poset(chain13), "max_points 12; TOPOLAB_CAP=max_points=13 "),
+        (lambda: from_poset(*chain13), "max_points 12; TOPOLAB_CAP=max_points=13 "),
         (lambda: product([vee, vee, vee]), "max_points 12; TOPOLAB_CAP=max_points=27 "),
         (lambda: enumerate_continuous_maps(vee, vee, Caps(max_maps=26)),
          "max_maps 26; TOPOLAB_CAP=max_maps=27 "),
@@ -293,6 +290,14 @@ def test_cli_info_and_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.topo"
     bad.write_text("space b\npoints a b\nopens {} {a}\n")
     assert main(["info", str(bad)]) == 2
+
+
+def test_cli_repeated_labels_fail_alike_in_order_and_opens_bodies(tmp_path, capsys):
+    doc = tmp_path / "dup.topo"
+    for body in ("order a < b", "opens {} {b} {a b}"):
+        doc.write_text(f"space dup\npoints a a b\n{body}\n")
+        assert main(["info", str(doc)]) == 2
+        assert capsys.readouterr().err == "error: point labels must be distinct\n"
 
 
 def test_cli_cap_exit_code(tmp_path, capsys):

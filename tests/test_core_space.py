@@ -11,7 +11,6 @@ from test_oracles import orders
 from topolab import (
     ALL_CATEGORIES,
     ContinuousMap,
-    FinitePoset,
     FiniteSpace,
     ResourceCapError,
     ValidationError,
@@ -33,17 +32,16 @@ from topolab import (
     reflect,
     rudin_sets,
     sober_target_catalog,
-    specialization_order,
 )
 from topolab.caps import Caps
 from topolab.core_space import _transpose, bit_indices, compress_mask
 
 
-def brute_force_upper_sets(poset):
+def brute_force_upper_sets(space):
     """Oracle: every subset tested against the upper-set condition."""
     out = set()
-    for mask in range(1 << poset.n):
-        if all(poset.leq[i] & ~mask == 0 for i in range(poset.n) if mask >> i & 1):
+    for mask in range(1 << space.n):
+        if all(space.up_masks[i] & ~mask == 0 for i in range(space.n) if mask >> i & 1):
             out.add(mask)
     return out
 
@@ -62,20 +60,17 @@ subsets = st.integers(min_value=0, max_value=(1 << 5) - 1)
 
 
 def test_from_poset_chain_is_sierpinski():
-    p = FinitePoset.from_pairs(("a", "b"), [("a", "b")])
-    space = from_poset(p)
+    space = from_poset(("a", "b"), [("a", "b")])
     assert set(space.opens) == {0, space.mask_of("b"), space.mask_of("a", "b")}
 
 
 def test_from_poset_antichain_is_discrete():
-    p = FinitePoset.from_pairs(("a", "b"), [])
-    assert len(from_poset(p).opens) == 4
+    assert len(from_poset(("a", "b"), []).opens) == 4
 
 
 def test_from_poset_vee_opens_match_brute_force():
-    p = FinitePoset.from_pairs(("a", "b", "t"), [("a", "t"), ("b", "t")])
-    space = from_poset(p)
-    assert set(space.opens) == brute_force_upper_sets(p)
+    space = from_poset(("a", "b", "t"), [("a", "t"), ("b", "t")])
+    assert set(space.opens) == brute_force_upper_sets(space)
     expected = {0, space.mask_of("t"), space.mask_of("a", "t"),
                 space.mask_of("b", "t"), space.mask_of("a", "b", "t")}
     assert set(space.opens) == expected
@@ -84,18 +79,12 @@ def test_from_poset_vee_opens_match_brute_force():
 @given(small_spaces)
 @settings(max_examples=60, deadline=None)
 def test_opens_are_exactly_upper_sets(space):
-    assert set(space.opens) == brute_force_upper_sets(specialization_order(space))
+    assert set(space.opens) == brute_force_upper_sets(space)
 
 
 def test_poset_validation_names_axioms():
-    with pytest.raises(ValidationError, match="reflexive"):
-        FinitePoset(("a", "b"), (0b10, 0b10))
-    with pytest.raises(ValidationError, match="transitive"):
-        FinitePoset(("a", "b", "c"), (0b011, 0b110, 0b100))
-    with pytest.raises(ValidationError, match="antisymmetric"):
-        FinitePoset(("a", "b"), (0b11, 0b11))
     with pytest.raises(ValidationError, match="cycle"):
-        FinitePoset.from_pairs(("a", "b"), [("a", "b"), ("b", "a")])
+        from_poset(("a", "b"), [("a", "b"), ("b", "a")])
 
 
 def closure_reference(elements, pairs):
@@ -129,52 +118,28 @@ def test_from_pairs_closes_the_relation_like_a_search(case):
     pairs = [(labels[a], labels[b]) for a, b in edges]
     rows, cycle = closure_reference(labels, pairs)
     if cycle is None:
-        assert FinitePoset.from_pairs(labels, pairs).leq == rows
+        assert from_poset(labels, pairs).up_masks == rows
     else:
         i, j = cycle
         with pytest.raises(ValidationError) as err:
-            FinitePoset.from_pairs(labels, pairs)
+            from_poset(labels, pairs)
         assert str(err.value) == \
             f"order contains a cycle through {labels[i]!r} and {labels[j]!r}"
 
 
-@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.integers(0, (1 << n) - 1),
-                                                     min_size=n, max_size=n)))
-@settings(max_examples=150, deadline=None)
-def test_poset_accepts_exactly_the_partial_orders(rows):
-    n = len(rows)
-    rows = tuple(r | 1 << i for i, r in enumerate(rows))
-    labels = tuple(f"e{i}" for i in range(n))
-    closed = closure_reference(labels, [(labels[i], labels[j]) for i in range(n)
-                                        for j in range(n) if rows[i] >> j & 1])
-    if closed == (rows, None):
-        assert FinitePoset(labels, rows).leq == rows
-    else:
-        with pytest.raises(ValidationError, match="transitive|antisymmetric"):
-            FinitePoset(labels, rows)
-
-
-def test_specialization_round_trip_on_samples():
-    for seed in range(40):
-        space = random_space(seed, 1 + seed % 6)
-        assert from_poset(specialization_order(space)) == space
-
-
-def test_specialization_order_examples(sierpinski, discrete2):
-    p = specialization_order(sierpinski)
-    assert p.le(p.index("bot"), p.index("top"))
-    assert not p.le(p.index("top"), p.index("bot"))
-    q = specialization_order(discrete2)
-    assert not q.le(0, 1) and not q.le(1, 0)
+def test_specialization_examples(sierpinski, discrete2):
+    s = sierpinski
+    assert s.leq(s.index("bot"), s.index("top"))
+    assert not s.leq(s.index("top"), s.index("bot"))
+    assert not discrete2.leq(0, 1) and not discrete2.leq(1, 0)
 
 
 def test_specialization_agrees_with_closure_membership():
     space = random_space(99, 5)
-    p = specialization_order(space)
     for i in range(space.n):
         for j in range(space.n):
             # x <= y iff x lies in the closure of {y}
-            assert p.le(i, j) == bool(space.closure(1 << j) >> i & 1)
+            assert space.leq(i, j) == bool(space.closure(1 << j) >> i & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +256,8 @@ def test_renamed_keeps_the_validated_space(vee, monkeypatch):
 def test_builders_leave_the_lattice_views_unbuilt():
     """Spaces, products, subspaces, hyperspaces, reflections, the seven
     families and the predicates are all computed from the order rows."""
-    x = from_poset(FinitePoset.from_pairs(("a", "b", "c", "d"),
-                                          [("a", "c"), ("b", "c"), ("c", "d")]))
-    y = from_poset(FinitePoset.from_pairs(("p", "q"), [("p", "q")]))
+    x = from_poset(("a", "b", "c", "d"), [("a", "c"), ("b", "c"), ("c", "d")])
+    y = from_poset(("p", "q"), [("p", "q")])
     spaces = [x, y, product([x, y]), x.subspace(x.mask_of("a", "b", "c"))]
     for s in list(spaces):
         families = [point_closures(s), directed_closures(s), irreducible_closed(s),
@@ -307,7 +271,7 @@ def test_builders_leave_the_lattice_views_unbuilt():
 
 def test_open_lattice_view_names_its_cap(monkeypatch):
     labels = tuple(f"p{i}" for i in range(8))
-    x = from_poset(FinitePoset.from_pairs(labels, []))
+    x = from_poset(labels, [])
     monkeypatch.setenv("TOPOLAB_CAP", "max_opens=255")
     with pytest.raises(ResourceCapError, match="exceeds max_opens 255"):
         x.opens
@@ -323,7 +287,6 @@ def assert_rows_match_the_pairwise_order(x):
     n = x.n
     down = tuple(sum(1 << i for i in range(n) if x.leq(i, j)) for j in range(n))
     assert _transpose(x.up_masks) == x.down_masks == down
-    assert specialization_order(x).down_rows == down
     below = [[i != j and x.leq(i, j) for j in range(n)] for i in range(n)]
     assert x.covers() == [(i, j) for i in range(n) for j in range(n) if below[i][j]
                           and not any(below[i][k] and below[k][j] for k in range(n))]
@@ -337,8 +300,8 @@ def test_transpose_and_covers_on_orders(x):
 
 def test_transpose_and_covers_past_one_machine_word():
     caps = Caps(max_points=80)
-    chain = from_poset(FinitePoset.from_pairs(
-        [f"c{i}" for i in range(70)], [(f"c{i}", f"c{i + 1}") for i in range(69)]), caps)
+    chain = from_poset([f"c{i}" for i in range(70)],
+                       [(f"c{i}", f"c{i + 1}") for i in range(69)], caps)
     for x in (chain, random_space(5, 16, caps), random_space(6, 70, caps)):
         assert_rows_match_the_pairwise_order(x)
     assert chain.covers() == [(i, i + 1) for i in range(69)]
@@ -365,11 +328,10 @@ def test_order_answers_match_the_listed_lattice(x):
 
 def test_point_cap_is_enforced():
     labels = tuple(f"p{i}" for i in range(13))
-    poset = FinitePoset.from_pairs(labels, [(labels[i], labels[i + 1])
-                                            for i in range(12)])
+    pairs = [(labels[i], labels[i + 1]) for i in range(12)]
     with pytest.raises(ResourceCapError):
-        from_poset(poset)
-    assert from_poset(poset, Caps(max_points=13)).n == 13
+        from_poset(labels, pairs)
+    assert from_poset(labels, pairs, Caps(max_points=13)).n == 13
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +368,7 @@ def enumerate_by_filtering(x, y):
 
 
 def test_enumerate_continuous_maps_examples(sierpinski, discrete2):
-    point = from_poset(FinitePoset.from_pairs(("z",), []))
+    point = from_poset(("z",), [])
     assert len(enumerate_continuous_maps(point, sierpinski)) == sierpinski.n
     selfmaps = enumerate_continuous_maps(sierpinski, sierpinski)
     assert [f.mapping for f in selfmaps] == enumerate_by_filtering(sierpinski, sierpinski)
@@ -424,8 +386,8 @@ def test_enumeration_cap():
 def test_map_enumeration_has_no_depth_limit():
     caps = Caps(max_points=2000)
     labels = tuple(f"p{i}" for i in range(1100))
-    x = from_poset(FinitePoset.from_pairs(labels, []), caps)
-    point = from_poset(FinitePoset.from_pairs(("z",), []))
+    x = from_poset(labels, [], caps)
+    point = from_poset(("z",), [])
     maps = enumerate_continuous_maps(x, point, caps)
     assert [f.mapping for f in maps] == [(0,) * 1100]
 
@@ -440,10 +402,11 @@ def test_continuous_maps_are_monotone():
                    for i in range(x.n) for j in range(x.n) if x.leq(i, j))
 
 
-def relabeled(x, perm):
+def relabeled(x, perm, suffix="x", caps=None):
     """x with its point i renamed and moved to the index perm.index(i)."""
-    return from_poset(FinitePoset(tuple(x.points[k] + "x" for k in perm),
-                                  tuple_rows(specialization_order(x), perm)))
+    points = tuple(x.points[k] + suffix for k in perm)
+    return from_poset(points, [(points[i], points[j]) for i in range(x.n)
+                               for j in range(x.n) if x.leq(perm[i], perm[j])], caps)
 
 
 def small_spaces_and_extremes():
@@ -453,8 +416,8 @@ def small_spaces_and_extremes():
     labels = ("a", "b", "c", "d")
     small = [s for s in sober_target_catalog(4) if s.n <= 3]
     return small + [relabeled(s, range(s.n)[::-1]) for s in small] + [
-        from_poset(FinitePoset.from_pairs(labels, [])),
-        from_poset(FinitePoset.from_pairs(labels, zip(labels[1:], labels))),
+        from_poset(labels, []),
+        from_poset(labels, zip(labels[1:], labels)),
     ]
 
 
@@ -496,11 +459,10 @@ def test_map_composition_and_images(vee, sierpinski):
 
 
 def test_homeomorphism_finds_relabellings(sierpinski):
-    other = from_poset(FinitePoset.from_pairs(("x", "y"), [("y", "x")]))
+    other = from_poset(("x", "y"), [("y", "x")])
     phi = find_homeomorphism(sierpinski, other)
     assert phi is not None
-    assert not is_homeomorphic(sierpinski, from_poset(
-        FinitePoset.from_pairs(("x", "y"), [])))
+    assert not is_homeomorphic(sierpinski, from_poset(("x", "y"), []))
 
 
 def test_homeomorphism_distinguishes_vee_and_wedge(spaces):
@@ -546,8 +508,7 @@ def test_homeomorphism_on_shuffled_random_spaces():
 
 def order_of(n, pairs):
     labels = tuple(f"p{i}" for i in range(n))
-    return from_poset(FinitePoset.from_pairs(labels, [(labels[i], labels[j]) for i, j in pairs]),
-                      Caps(max_points=n))
+    return from_poset(labels, [(labels[i], labels[j]) for i, j in pairs], Caps(max_points=n))
 
 
 SYMMETRIC_ORDERS = {
@@ -568,8 +529,7 @@ def test_homeomorphism_on_symmetric_orders(name):
     x = SYMMETRIC_ORDERS[name]
     perm = list(range(x.n))
     random.Random(name).shuffle(perm)
-    y = from_poset(FinitePoset(tuple(x.points[k] for k in perm),
-                               tuple_rows(specialization_order(x), perm)), caps)
+    y = relabeled(x, perm, "", caps)
     phi = find_homeomorphism(x, y, caps)
     assert sorted(phi) == list(range(y.n))
     assert all(x.leq(i, j) == y.leq(phi[i], phi[j]) for i in range(x.n) for j in range(x.n))
@@ -580,20 +540,9 @@ def test_homeomorphism_on_symmetric_orders(name):
         rows[i] &= ~(1 << j)
     else:  # the antichain has none: one added
         rows[0] |= 1 << 1
-    z = from_poset(FinitePoset(y.points, tuple(rows)), caps)
+    z = from_poset(y.points, [(y.points[i], y.points[j])
+                              for i, row in enumerate(rows) for j in bit_indices(row)], caps)
     assert find_homeomorphism(x, z, caps) is None
-
-
-def tuple_rows(poset, perm):
-    n = poset.n
-    rows = []
-    for i in range(n):
-        row = 0
-        for j in range(n):
-            if poset.le(perm[i], perm[j]):
-                row |= 1 << j
-        rows.append(row)
-    return tuple(rows)
 
 
 def test_subspace_of_vee(vee):

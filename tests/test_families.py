@@ -20,7 +20,6 @@ from topolab import (
     rudin_sets,
     rudin_witness_search,
     sober_target_catalog,
-    specialization_order,
 )
 from topolab import oracles
 
@@ -39,12 +38,11 @@ def irreducible_by_raw_split(space, a):
 
 def directed_closures_oracle(space):
     """Closures of the directed subsets, directedness tested pairwise."""
-    poset = specialization_order(space)
     out = set()
     for mask in range(1, 1 << space.n):
         members = [i for i in range(space.n) if mask >> i & 1]
         directed = all(
-            any(poset.le(a, c) and poset.le(b, c) for c in members)
+            any(space.leq(a, c) and space.leq(b, c) for c in members)
             for a in members for b in members
         )
         if directed:

@@ -1,9 +1,12 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no private module-level function goes unreferenced, the production path
-does not reach the definitional oracles or list an open lattice, and the
-oracles do not lean on a production family."""
+does not reach the definitional oracles or list an open lattice, the
+oracles do not lean on a production family, and every name the traced
+benchmark run wraps is bound."""
 
 import ast
+import importlib
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -206,3 +209,18 @@ def test_exports_are_referenced_outside_their_module():
               if name not in shown
               and not any(counts[name] for file, counts in refs.items() if file != f"{module}.py")]
     assert not unused, f"exported but referenced nowhere else: {', '.join(unused)}"
+
+
+def test_benchmark_trace_names_are_bound():
+    """Each (module, name) that the traced benchmark run wraps resolves in
+    its topolab module, so a rename cannot leave that run to die with an
+    AttributeError in `Tracer.install`."""
+    path = PACKAGE.parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wanted = [(module, name) for module, name, _ in tracing.SPANS]
+    wanted.append(tracing.CONSTRUCTOR[:2])
+    unbound = [f"{module}.{name}" for module, name in wanted
+               if not hasattr(importlib.import_module(f"topolab.{module}"), name)]
+    assert not unbound, f"perfbench/tracing.py wraps unbound names: {', '.join(unbound)}"

@@ -4,7 +4,6 @@ import pytest
 
 from topolab import (
     ClosedFamily,
-    FinitePoset,
     FiniteSpace,
     ResourceCapError,
     ValidationError,
@@ -18,7 +17,6 @@ from topolab import (
     point_closures,
     random_space,
     smyth_power,
-    specialization_order,
     xi,
 )
 from topolab.caps import Caps
@@ -86,10 +84,9 @@ def test_lower_vietoris_handles_reducible_members(discrete2):
 def test_lower_vietoris_specialization_is_inclusion(vee):
     g = irreducible_closed(vee)
     hv = lower_vietoris(g)
-    poset = specialization_order(hv.space)
     for i, a in enumerate(g.members):
         for j, b in enumerate(g.members):
-            assert poset.le(i, j) == (a & ~b == 0)
+            assert hv.space.leq(i, j) == (a & ~b == 0)
 
 
 def test_lower_vietoris_preconditions(sierpinski):
@@ -100,7 +97,7 @@ def test_lower_vietoris_preconditions(sierpinski):
     big = random_space(4, 8, Caps(max_points=8))
     assert is_homeomorphic(lower_vietoris(point_closures(big)).space, big)
     labels = tuple(f"p{i}" for i in range(18))
-    wide = from_poset(FinitePoset.from_pairs(labels, []), Caps(max_points=18))
+    wide = from_poset(labels, [], Caps(max_points=18))
     hv = lower_vietoris(point_closures(wide))
     assert hv.space.n == 18
     with pytest.raises(ResourceCapError, match="max_opens"):
@@ -132,13 +129,13 @@ def test_smyth_power_of_sierpinski(sierpinski):
 def test_smyth_power_of_discrete2(discrete2):
     ps = smyth_power(discrete2)
     assert ps.space.n == 3
-    poset = specialization_order(ps.space)
+    order = ps.space
     full = ps.point_of_member(discrete2.full_mask)
     a = ps.point_of_member(discrete2.mask_of("a"))
     b = ps.point_of_member(discrete2.mask_of("b"))
     # Smyth order: the whole carrier lies below each singleton
-    assert poset.le(full, a) and poset.le(full, b)
-    assert not poset.le(a, b) and not poset.le(b, a)
+    assert order.leq(full, a) and order.leq(full, b)
+    assert not order.leq(a, b) and not order.leq(b, a)
 
 
 def test_smyth_opens_equal_box_lattice():

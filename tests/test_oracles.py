@@ -11,7 +11,6 @@ from topolab import (
     ALL_CATEGORIES,
     CategoryTag,
     ContinuousMap,
-    FinitePoset,
     SymbolicSpace,
     ValidationError,
     check_kspace_product,
@@ -30,7 +29,6 @@ from topolab import (
     satisfies_category,
     smyth_power,
     sober_target_catalog,
-    specialization_order,
     xi,
 )
 from topolab import oracles
@@ -43,12 +41,16 @@ from topolab.symbolic import SymbolicVariant
 
 def order_space(n, edges):
     labels = tuple(f"p{i}" for i in range(n))
-    return from_poset(FinitePoset.from_pairs(
-        labels, [(labels[i], labels[j]) for i, j in edges]))
+    return from_poset(labels, [(labels[i], labels[j]) for i, j in edges])
 
 
 def antichain(n):
     return order_space(n, [])
+
+
+def order_pairs(x):
+    """Every pair (a, b) of labels with a <= b in the order of x."""
+    return [(x.points[i], x.points[j]) for i in range(x.n) for j in range(x.n) if x.leq(i, j)]
 
 
 @st.composite
@@ -181,7 +183,7 @@ def test_open_count_matches_the_listed_lattice(x):
     # the memo stays below the number of opens, so a cap the view meets holds the count
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("TOPOLAB_CAP", f"max_opens={count}")
-        assert from_poset(specialization_order(x)).open_count == count
+        assert from_poset(x.points, order_pairs(x)).open_count == count
 
 
 def chains(*lengths):
@@ -191,7 +193,7 @@ def chains(*lengths):
         chain = [f"c{k}_{i}" for i in range(length)]
         labels += chain
         pairs += zip(chain, chain[1:])
-    return from_poset(FinitePoset.from_pairs(labels, pairs), Caps(max_points=64))
+    return from_poset(labels, pairs, Caps(max_points=64))
 
 
 def test_open_count_on_chains_antichains_and_their_unions():
@@ -276,12 +278,11 @@ def test_theorem_checkers_skip_over_budget():
 
 def test_dcpo_oracles():
     for x in (random_space(3, 4), random_space(8, 6), order_space(3, [(0, 1), (1, 2)])):
-        p = specialization_order(x)
-        comp = d_completion(p)
-        assert oracles.dcpo_completion(p, comp.completed, comp.unit).holds is True
+        comp = d_completion(x)
+        assert oracles.dcpo_completion(x, comp.completed, comp.unit).holds is True
     # on the chain p0 < p1 < p2 the reversed unit sends max{p0, p1} = p1 to
     # the closure of p1, below the image of p0
     reversed_unit = tuple(reversed(comp.unit))
-    assert oracles.dcpo_completion(p, comp.completed, reversed_unit).holds is False
-    big = specialization_order(antichain(oracles.DCPO_MAX_POINTS + 1))
+    assert oracles.dcpo_completion(x, comp.completed, reversed_unit).holds is False
+    big = antichain(oracles.DCPO_MAX_POINTS + 1)
     assert oracles.dcpo_completion(big, big, tuple(range(big.n))).holds is None

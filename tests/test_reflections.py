@@ -9,7 +9,6 @@ from test_oracle_kernels import isomorphic_by_permutations
 from topolab import (
     ALL_CATEGORIES,
     CategoryTag,
-    FinitePoset,
     ValidationError,
     continuous_map,
     d_completion,
@@ -29,7 +28,6 @@ from topolab import (
     reflect,
     satisfies_category,
     sober_target_catalog,
-    specialization_order,
     universal_property_report,
 )
 from topolab.symbolic import OMEGA_CHAIN, SymbolicVariant
@@ -179,8 +177,7 @@ def test_sober_catalog_keeps_the_first_order_of_each_class():
         labels = tuple(f"t{i}" for i in range(n))
         pairs = list(itertools.combinations(labels, 2))
         for bits in range(1 << len(pairs)):
-            x = from_poset(FinitePoset.from_pairs(
-                labels, [p for k, p in enumerate(pairs) if bits >> k & 1]))
+            x = from_poset(labels, [p for k, p in enumerate(pairs) if bits >> k & 1])
             if not any(isomorphic_by_permutations(s, x) for s in kept):
                 kept.append(x)
     assert [(s.name, s.points, s.up_masks) for s in sober_target_catalog(4)] == \
@@ -252,21 +249,20 @@ def test_local_compactness_flags_transfer(diamond4):
 
 
 def test_d_completion_of_chain():
-    chain = FinitePoset.from_pairs(("x", "y"), [("x", "y")])
+    chain = from_poset(("x", "y"), [("x", "y")])
     comp = d_completion(chain)
     assert comp.completed.n == 2
-    assert find_homeomorphism(from_poset(comp.completed), from_poset(chain))
+    assert find_homeomorphism(comp.completed, chain)
 
 
 def test_d_completion_of_random_posets():
     for seed in (5, 44):
         x = random_space(seed, 6)
-        p = specialization_order(x)
-        comp = d_completion(p)
-        assert is_homeomorphic(from_poset(comp.completed), x)
+        comp = d_completion(x)
+        assert is_homeomorphic(comp.completed, x)
         # the unit sends each element to its point closure
-        for i in range(p.n):
-            member = comp.completed.elements[comp.unit[i]]
+        for i in range(x.n):
+            member = comp.completed.points[comp.unit[i]]
             assert member == x.render_subset(x.down_masks[i])
 
 

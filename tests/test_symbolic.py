@@ -22,10 +22,7 @@ from topolab.symbolic import (
     closed_down,
     closed_finite,
     closed_generic_point,
-    closed_meets_open,
     open_cofinite,
-    open_complement,
-    open_contains,
     open_up,
     reflection_open_of,
     sym_open_subset,
@@ -177,24 +174,6 @@ def test_compactness_transfers_to_reflections():
 
 # ---------------------------------------------------------------------------
 # descriptor algebra
-
-
-def test_open_descriptor_membership():
-    assert open_contains(OMEGA_CHAIN, open_up(3), 5)
-    assert not open_contains(OMEGA_CHAIN, open_up(3), 2)
-    assert open_contains(COFINITE, open_cofinite({1, 2}), 0)
-    assert not open_contains(COFINITE, open_cofinite({1, 2}), 1)
-    top_space = sym_reflect(COFINITE, CategoryTag.SOBRIETY).space
-    assert open_contains(top_space, open_cofinite({1}), GENERIC_POINT)
-
-
-def test_complements_and_meets():
-    assert open_complement(OMEGA_CHAIN, closed_down(4)) == open_up(5)
-    assert open_complement(COFINITE, closed_finite({0, 3})) == open_cofinite({0, 3})
-    assert closed_meets_open(OMEGA_CHAIN, closed_down(4), open_up(2))
-    assert not closed_meets_open(OMEGA_CHAIN, closed_down(1), open_up(2))
-    assert closed_meets_open(COFINITE, closed_all(), open_cofinite({9}))
-    assert not closed_meets_open(COFINITE, closed_finite({9}), open_cofinite({9}))
 
 
 def test_generic_points():
