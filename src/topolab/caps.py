@@ -8,6 +8,7 @@ as comma-separated ``field=value`` pairs.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -29,8 +30,15 @@ class Caps:
 
 def default_caps() -> Caps:
     """Default caps, with TOPOLAB_CAP applied on top when set."""
+    return _caps_from_env(os.environ.get("TOPOLAB_CAP"))
+
+
+@functools.lru_cache(maxsize=16)
+def _caps_from_env(env: str | None) -> Caps:
+    """The caps for one TOPOLAB_CAP value, parsed once per distinct value
+    (a Caps is frozen, so callers can share it); an invalid value is not
+    cached and raises on every call."""
     caps = Caps()
-    env = os.environ.get("TOPOLAB_CAP")
     if not env:
         return caps
     env = env.strip()

@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring
 from typing import Optional, Sequence, Union
 
 from .caps import Caps, default_caps
@@ -424,7 +426,34 @@ def to_jsonable(obj) -> dict:
 
 
 def render_json(obj) -> str:
-    return json.dumps(to_jsonable(obj), indent=2, ensure_ascii=False, sort_keys=True)
+    return _dump_json(to_jsonable(obj))
+
+
+def _dump_json(value, indent: str = "\n") -> str:
+    """The text of json.dumps(value, indent=2, ensure_ascii=False,
+    sort_keys=True) for a value with string keys.  The stdlib leaves its C
+    encoder whenever `indent` is set; here every string, and every list of
+    strings in one join, goes through the C string encoder.  `indent` is
+    the newline and indentation that precede the value's closing bracket."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            encode_basestring(k) + ": " + _dump_json(v, inner)
+            for k, v in sorted(value.items())) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        sep = "," + inner
+        try:
+            body = sep.join(map(encode_basestring, value))
+        except TypeError:  # an item that is not a string
+            body = sep.join([_dump_json(v, inner) for v in value])
+        return "[" + inner + body + indent + "]"
+    return json.dumps(value)
 
 
 # ---------------------------------------------------------------------------
@@ -1040,12 +1069,12 @@ def _cmd_families(args, caps: Caps) -> int:
         for c in ALL_CATEGORIES:
             sym_fams[f"K[{c.value}]"] = sym.sym_family(space, c)
         if args.json:
-            print(json.dumps({
+            print(_dump_json({
                 "schema_version": SCHEMA_VERSION,
                 "kind": "symbolic_families",
                 "space": space.variant.value,
                 "families": {key: to_jsonable(fam) for key, fam in sym_fams.items()},
-            }, indent=2, ensure_ascii=False, sort_keys=True))
+            }))
         else:
             print("\n".join(f"{key:<4} point closures"
                             + (" + carrier" if fam.includes_all else "")
@@ -1060,12 +1089,12 @@ def _cmd_families(args, caps: Caps) -> int:
     for c in ALL_CATEGORIES:
         fams[c.family_label] = k_family(space, c)
     if args.json:
-        print(json.dumps({
+        print(_dump_json({
             "schema_version": SCHEMA_VERSION,
             "kind": "families",
             "space": space.name,
             "families": {k: to_jsonable(v) for k, v in fams.items()},
-        }, indent=2, ensure_ascii=False, sort_keys=True))
+        }))
     else:
         for label, fam in fams.items():
             rendered = " ".join(space.render_subset(m) for m in fam.members)
@@ -1245,7 +1274,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, default_caps())
+        code = _COMMANDS[args.command](args, default_caps())
+        sys.stdout.flush()  # a closed standard output fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away; send what is still buffered to the null
+        # device, so that the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3

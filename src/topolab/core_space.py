@@ -387,10 +387,15 @@ def from_poset(points: Sequence[str], pairs: Iterable[tuple[str, str]],
     its opens are all upper sets (the Scott topology; on a finite poset
     every directed set has a maximum, so nothing more is required of an
     upper set).  The order is the reflexive-transitive closure of the
-    pairs, by Warshall's algorithm."""
+    pairs, by Warshall's algorithm.  A carrier over `max_points` is refused
+    first, before the pairs are read or closed."""
     points = tuple(points)
-    index = {p: i for i, p in enumerate(points)}
     n = len(points)
+    caps = caps or default_caps()
+    if n > caps.max_points:
+        raise ResourceCapError(f"a poset of {n} elements", "max_points",
+                               caps.max_points, n)
+    index = {p: i for i, p in enumerate(points)}
     rows = [1 << i for i in range(n)]
     for a, b in pairs:
         if a not in index or b not in index:
@@ -410,12 +415,7 @@ def from_poset(points: Sequence[str], pairs: Iterable[tuple[str, str]],
         raise ValidationError(
             f"order contains a cycle through {points[i]!r} and {points[j]!r}"
         )
-    space = FiniteSpace._of_order(points, rows)
-    caps = caps or default_caps()
-    if n > caps.max_points:
-        raise ResourceCapError(f"a poset of {n} elements", "max_points",
-                               caps.max_points, n)
-    return space
+    return FiniteSpace._of_order(points, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_oracles import orders
 
 from topolab import (
@@ -35,7 +36,7 @@ from topolab import (
     zoo_space,
 )
 from topolab.caps import Caps
-from topolab.cli_io import build_parser, main, suite_product_theorems, to_jsonable
+from topolab.cli_io import _dump_json, build_parser, main, suite_product_theorems, to_jsonable
 from topolab.symbolic import SymbolicVariant
 
 
@@ -171,6 +172,73 @@ def test_json_for_symbolic(sierpinski):
         to_jsonable(object())
 
 
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+def _stdlib_json(value) -> str:
+    """The indented text the JSON outputs have always had."""
+    return json.dumps(value, indent=2, ensure_ascii=False, sort_keys=True)
+
+
+_json_text = st.text(st.one_of(
+    st.characters(), st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\u2603\U0001d4b3')),
+    max_size=8)
+_json_strings = st.one_of(_json_text, _json_text.map(_Str))
+_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _json_strings)
+_json_values = st.recursive(_json_scalars, lambda children: st.one_of(
+    st.lists(_json_strings),  # the writer's one-join path
+    st.lists(children),
+    st.lists(children).map(tuple),
+    st.lists(children).map(_List),
+    st.dictionaries(_json_strings, children),
+    st.dictionaries(_json_strings, children).map(_Dict),
+), max_leaves=12)
+
+
+@given(_json_values)
+@settings(max_examples=100, deadline=None)
+def test_json_writer_matches_the_stdlib(value):
+    assert _dump_json(value) == _stdlib_json(value)
+
+
+def _golden_argvs(spec: str, symbolic: bool) -> list[list[str]]:
+    argvs = [["info", spec], ["families", spec]]
+    argvs += [["reflect", spec, "--category", c] for c in ("sob", "d", "wf")]
+    if not symbolic:
+        argvs.append(["product", spec, "zoo:sierpinski"])
+    return argvs
+
+
+def test_cli_json_outputs_keep_the_stdlib_text(tmp_path, monkeypatch, capsys):
+    """Every indented --json output, on the zoo and two generated wide
+    spaces, is the stdlib's indented text of the document it prints."""
+    monkeypatch.setenv("TOPOLAB_CAP", "16")  # the products of the wide spaces
+    labels = [f"p{i}" for i in range(8)]
+    antichain = tmp_path / "antichain.topo"
+    antichain.write_text(f"space antichain\npoints {' '.join(labels[:7])}\n")
+    sparse = tmp_path / "sparse.topo"  # four disjoint 2-chains: 81 opens
+    sparse.write_text(f"space sparse\npoints {' '.join(labels)}\n"
+                      + "".join(f"order p{i} < p{i + 4}\n" for i in range(4)))
+    argvs = [["verify", "--samples", "20"]]
+    for name, space in sorted(zoo().items()):
+        argvs += _golden_argvs(f"zoo:{name}", isinstance(space, SymbolicSpace))
+    for doc in (antichain, sparse):
+        argvs += _golden_argvs(str(doc), False)
+    for argv in argvs:
+        assert main(argv + ["--json"]) == 0, argv
+        out = capsys.readouterr().out
+        assert out == _stdlib_json(json.loads(out)) + "\n", argv
+
+
 def test_dot_sierpinski(sierpinski):
     dot = render_dot(sierpinski)
     nodes = [line for line in dot.splitlines()
@@ -235,13 +303,17 @@ def test_cap_env_override(monkeypatch):
 
     monkeypatch.setenv("TOPOLAB_CAP", "15")
     assert default_caps() == Caps(max_points=15)
+    assert default_caps() is default_caps()  # parsed once per value
     monkeypatch.setenv("TOPOLAB_CAP", "max_opens=64,max_points=9")
     caps = default_caps()
     assert caps.max_opens == 64 and caps.max_points == 9
     for bad in ("bogus=1", "max_hyper_base_points=3"):
         monkeypatch.setenv("TOPOLAB_CAP", bad)
-        with pytest.raises(ValidationError, match="unknown cap"):
-            default_caps()
+        for _ in range(2):  # a bad value is refused at every call
+            with pytest.raises(ValidationError, match="unknown cap"):
+                default_caps()
+    monkeypatch.setenv("TOPOLAB_CAP", "15")
+    assert default_caps().max_points == 15
     monkeypatch.delenv("TOPOLAB_CAP")
     assert default_caps().max_points == 12
 
@@ -374,14 +446,34 @@ def test_cli_builds_its_parser_once(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_python_m_topolab_runs_the_cli():
+def _python_m_topolab_env() -> dict[str, str]:
     src = Path(__file__).resolve().parent.parent / "src"
     env = {k: v for k, v in os.environ.items() if k != "TOPOLAB_CAP"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "topolab", "zoo"], env=env,
-                          capture_output=True, text=True, timeout=60)
+    return env
+
+
+def test_python_m_topolab_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "topolab", "zoo"],
+                          env=_python_m_topolab_env(), capture_output=True, text=True,
+                          timeout=60)
     assert proc.returncode == 0 and proc.stderr == ""
     assert "sierpinski" in proc.stdout.split()
+
+
+def test_cli_closed_stdout_exits_quietly():
+    """A reader that closed the pipe gets no traceback on standard error and
+    an input/output error code, not the code of a mathematical violation."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "topolab", "zoo"],
+                              env=_python_m_topolab_env(), stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 2
 
 
 def test_cli_zoo_reflect_product_families(capsys):

@@ -334,6 +334,17 @@ def test_point_cap_is_enforced():
     assert from_poset(labels, pairs, Caps(max_points=13)).n == 13
 
 
+def test_point_cap_wins_over_a_cycle():
+    """The carrier cap is checked before the pairs are closed, so an order
+    over the cap is refused for its size even when it has a cycle."""
+    labels = tuple(f"p{i}" for i in range(13))
+    pairs = [(labels[i], labels[i + 1]) for i in range(12)] + [(labels[12], labels[0])]
+    with pytest.raises(ResourceCapError, match="a poset of 13 elements exceeds max_points 12"):
+        from_poset(labels, pairs)
+    with pytest.raises(ValidationError, match="cycle"):
+        from_poset(labels, pairs, Caps(max_points=13))
+
+
 # ---------------------------------------------------------------------------
 # continuous maps
 

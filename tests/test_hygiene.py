@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no private module-level function goes unreferenced, the production path
 does not reach the definitional oracles or list an open lattice, the
-oracles do not lean on a production family, and every name the traced
-benchmark run wraps is bound."""
+oracles do not lean on a production family, every name the traced
+benchmark run wraps is bound, and indented JSON has one writer."""
 
 import ast
 import importlib
@@ -224,3 +224,15 @@ def test_benchmark_trace_names_are_bound():
     unbound = [f"{module}.{name}" for module, name in wanted
                if not hasattr(importlib.import_module(f"topolab.{module}"), name)]
     assert not unbound, f"perfbench/tracing.py wraps unbound names: {', '.join(unbound)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_indented_json_dumps(path):
+    """Indented JSON goes through `cli_io._dump_json`: the stdlib's encoder
+    runs in pure Python whenever `indent` is set."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps")
+             and any(k.arg == "indent" for k in node.keywords)]
+    assert not calls, f"{path.name} calls json.dumps with indent= on lines {calls}"
