@@ -27,7 +27,6 @@ from .families import (
     CategoryTag,
     RudinSets,
     RudinWitness,
-    TopologicalRudinResult,
     directed_closures,
     irreducible_closed,
     is_irreducible_closed_set,
@@ -60,7 +59,6 @@ from .products_properties import (
     way_below,
 )
 from .reflections import (
-    DcpoCompletion,
     Reflection,
     UniversalPropertyReport,
     d_completion,

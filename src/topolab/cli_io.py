@@ -48,8 +48,6 @@ from .families import (
 )
 from .hyperspaces import (
     ClosedFamily,
-    HyperSpace,
-    SmythSpace,
     box,
     diamond,
     lower_vietoris,
@@ -78,7 +76,6 @@ from . import symbolic as sym
 from .symbolic import (
     COFINITE,
     OMEGA_CHAIN,
-    SymbolicPredicates,
     SymbolicReflection,
     SymbolicSpace,
     SymbolicVariant,
@@ -352,14 +349,6 @@ def to_jsonable(obj) -> dict:
             "point_closures": True,
             "includes_carrier": obj.includes_all,
         }
-    if isinstance(obj, (HyperSpace, SmythSpace)):
-        base = obj.base
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "hyperspace" if isinstance(obj, HyperSpace) else "smyth_space",
-            "base": base.name,
-            "space": to_jsonable(obj.space),
-        }
     if isinstance(obj, Reflection):
         return {
             "schema_version": SCHEMA_VERSION,
@@ -386,25 +375,6 @@ def to_jsonable(obj) -> dict:
             "space": obj.space_name,
             "flags": {name: obj.flag(name) for name in PREDICATE_NAMES},
             "witnesses": dict(obj.witnesses),
-        }
-    if isinstance(obj, SymbolicPredicates):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "symbolic_predicates",
-            "flags": {
-                "sober": obj.sober,
-                "d_space": obj.d_space,
-                "well_filtered": obj.well_filtered,
-                "compact": obj.compact,
-            },
-        }
-    if isinstance(obj, ContinuousMap):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "continuous_map",
-            "source": obj.source.name,
-            "target": obj.target.name,
-            "assignment": {p: obj(p) for p in obj.source.points},
         }
     if isinstance(obj, VerifyReport):
         return {
@@ -468,9 +438,7 @@ def render_dot(obj) -> str:
     """Hasse diagram of the specialization order; hyperspace points keep
     their member-set labels; symbolic spaces draw an ellipsis node plus any
     adjoined point."""
-    if isinstance(obj, (HyperSpace, SmythSpace, Reflection)):
-        return render_dot(obj.space)
-    if isinstance(obj, SymbolicReflection):
+    if isinstance(obj, (Reflection, SymbolicReflection)):
         return render_dot(obj.space)
     if isinstance(obj, SymbolicSpace):
         return _render_dot_symbolic(obj)
@@ -524,8 +492,12 @@ class VerifyConfig:
         object.__setattr__(self, "seed", self.seed & MASK64)
         if self.samples < 1:
             raise ValidationError("samples must be positive")
-        if self.max_points < 1 or self.max_points > self.caps.max_points:
-            raise ValidationError("max_points must fit under the point cap")
+        if self.max_points < 1:
+            raise ValidationError("max_points must be positive")
+        if self.max_points > self.caps.max_points:
+            raise ValidationError(
+                f"max_points {self.max_points} exceeds the point cap "
+                f"{self.caps.max_points}; TOPOLAB_CAP=max_points={self.max_points} lifts it")
         if not self.categories:
             raise ValidationError("at least one category is required")
 
@@ -709,8 +681,8 @@ def suite_omega_chain(cfg: VerifyConfig) -> SuiteResult:
         res.check(sym_space_iso(again.space, r.space),
                   "reflection should be a fixed point")
     comp = d_completion(OMEGA_CHAIN)
-    res.check(isinstance(comp.completed, SymbolicSpace)
-              and comp.completed.variant is SymbolicVariant.OMEGA_PLUS_ONE,
+    res.check(isinstance(comp.space, SymbolicSpace)
+              and comp.space.variant is SymbolicVariant.OMEGA_PLUS_ONE,
               "dcpo completion of the chain should adjoin one top")
     sc = sym.sym_family(OMEGA_CHAIN, "sc")
     dc = sym.sym_family(OMEGA_CHAIN, "dc")
@@ -823,7 +795,7 @@ def suite_rudin_witness(cfg: VerifyConfig) -> SuiteResult:
         if rng.next_bit():
             extra = 1 << rng.next_below(x.n)
         c0 = x.closure(1 << anchor | extra)
-        a = rudin_witness_search(x, members, c0).minimal_closed
+        a = rudin_witness_search(x, members, c0)
         inside = [b for b in x.closed_sets if b & ~c0 == 0]
         res.check(a in oracles.minimal_meeting_all(inside, members)
                   and oracles.is_irreducible_closed_set(x, a), f"{x.name}: witness not certified")
@@ -942,9 +914,9 @@ def suite_structural(cfg: VerifyConfig) -> SuiteResult:
                    f"{x.name}: sobriety coincidence")
         comp = d_completion(x)
         res.check(
-            comp.completed.n == x.n and is_homeomorphic(comp.completed, x, cfg.caps),
+            comp.space.n == x.n and is_homeomorphic(comp.space, x, cfg.caps),
             f"{x.name}: dcpo completion is not an isomorphic copy")
-        res.record(oracles.dcpo_completion(x, comp.completed, comp.unit),
+        res.record(oracles.dcpo_completion(x, comp.space, comp.embedding.mapping),
                    f"{x.name}: dcpo completion")
     # product irreducibility and closure-projection laws on small factors
     for _ in range(max(1, cfg.structural_samples // 2)):
@@ -1021,10 +993,15 @@ def _load_space(spec: str) -> Space:
     if spec.startswith("zoo:"):
         return zoo_space(spec[len("zoo:"):])
     try:
-        with open(spec, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(spec, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {spec!r}: {exc}") from exc
+    try:
+        # parse's splitlines breaks at \r\n and \r: no newline translation is lost
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot read {spec!r}: byte {exc.start} is not UTF-8") from exc
     return parse(text)
 
 

@@ -150,14 +150,14 @@ class FiniteSpace:
             if m not in opens_set:
                 raise ValidationError(
                     "opens are not closed under intersection: "
-                    f"{self._render(m)} is missing"
+                    f"{self.render_subset(m)} is missing"
                 )
         if _upper_sets(up, limit=len(opens)) is None:
             # every upper set is a union of rows, so some open | row is missing
             missing = next(a | r for a in opens for r in up if a | r not in opens_set)
             raise ValidationError(
                 "opens are not closed under union: "
-                f"{self._render(missing)} is missing"
+                f"{self.render_subset(missing)} is missing"
             )
         object.__setattr__(self, "up_masks", tuple(up))
         self.__dict__["opens"] = opens
@@ -182,9 +182,6 @@ class FiniteSpace:
                     "have identical minimal neighbourhoods"
                 )
             seen[m] = i
-
-    def _render(self, mask: int) -> str:
-        return "{" + ",".join(self.labels_of(mask)) + "}"
 
     # -- basic accessors ----------------------------------------------------
 
@@ -327,7 +324,7 @@ class FiniteSpace:
         return tuple([p for p, bit in zip(self.points, bin(mask)[:1:-1]) if bit == "1"])
 
     def render_subset(self, mask: int) -> str:
-        return self._render(mask)
+        return "{" + ",".join(self.labels_of(mask)) + "}"
 
     def is_open(self, mask: int) -> bool:
         """Opens are the upper sets: the subsets equal to their saturation."""

@@ -166,16 +166,7 @@ def k_family(x: FiniteSpace, c: CategoryTag) -> ClosedFamily:
 # topological Rudin witness search
 
 
-@dataclass(frozen=True)
-class TopologicalRudinResult:
-    base: FiniteSpace
-    members: tuple[int, ...]
-    start_closed: int
-    minimal_closed: int
-
-
-def rudin_witness_search(x: FiniteSpace, members: Sequence[int],
-                         c0: int) -> TopologicalRudinResult:
+def rudin_witness_search(x: FiniteSpace, members: Sequence[int], c0: int) -> int:
     """Given compact saturated sets forming an irreducible subset of the Smyth
     power space and a closed set `c0` meeting all of them, return the
     canonically least closed subset of `c0` minimal among those meeting
@@ -204,5 +195,4 @@ def rudin_witness_search(x: FiniteSpace, members: Sequence[int],
     m0 = members[0]  # canonical order: a member inside every other comes first
     if any(m0 & ~m for m in members):
         raise ValidationError("member family is not irreducible in the Smyth power space")
-    result = min((x.down_masks[q] for q in bit_indices(m0 & c0)), key=mask_key)
-    return TopologicalRudinResult(x, members, c0, result)
+    return min((x.down_masks[q] for q in bit_indices(m0 & c0)), key=mask_key)

@@ -306,7 +306,7 @@ def check_kspace_product(xs: Sequence[Union[FiniteSpace, SymbolicSpace]],
         raise ValidationError("a symbolic product check needs a finite factor")
     fin = category(f, c)
     if c is CategoryTag.SOBRIETY:
-        pairs_ok = sym_product_irr(s, f).all_pairs_have_generic_points()
+        pairs_ok = sym_product_irr(s, f)
         product_side = conjunction([
             Verdict(pairs_ok, "irreducible closed pairs with generic points"), fin])
     else:

@@ -1,7 +1,8 @@
 """Reflections of finite T0 spaces into the sober, d-space, and well-filtered
 categories: the hyperspace construction on the K-set family, the canonical
-embedding, extension of maps along it, the functorial action, a universal
-property verifier, and the dcpo completion of finite posets.
+embedding, extension of maps along it, the functorial action as an
+extension, a universal property verifier, and the dcpo completion as the
+d-reflection.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ from .core_space import (
     ContinuousMap,
     FiniteSpace,
     _canonical_form,
-    bit_indices,
     check_continuous,
     enumerate_continuous_maps,
     from_poset,
 )
 from .errors import ContractViolation, UnsupportedSpaceError, ValidationError
 from .families import CategoryTag, k_family
-from .hyperspaces import ClosedFamily, HyperSpace, _inclusion_up_rows, eta, lower_vietoris
+from .hyperspaces import ClosedFamily, HyperSpace, eta, lower_vietoris
+from .symbolic import SymbolicReflection, SymbolicSpace, SymbolicVariant, sym_reflect
 
 
 @dataclass(frozen=True)
@@ -52,17 +53,14 @@ def reflect(x: FiniteSpace, c: CategoryTag) -> Reflection:
     return Reflection(c, x, family, hyper, embedding)
 
 
-def extend(f: ContinuousMap, r: Reflection, caps: Caps | None = None,
-           verify_unique: bool = False) -> ContinuousMap:
+def extend(f: ContinuousMap, r: Reflection) -> ContinuousMap:
     """The unique continuous f* on the reflection with f* o eta = f.
 
     The value on a family member A is the unique target point whose closure
     equals the closure of f(A); failure to find one means the target is not
-    actually an object of the category.  With `verify_unique` the uniqueness
-    claim is additionally checked against every continuous map out of the
-    reflection (a finite oracle; costs a full map enumeration).
+    actually an object of the category.  `universal_property_report` checks
+    the uniqueness against every continuous map out of the reflection.
     """
-    caps = caps or default_caps()
     if f.source != r.base:
         raise ValidationError("map source must be the reflected space")
     y = f.target
@@ -82,37 +80,14 @@ def extend(f: ContinuousMap, r: Reflection, caps: Caps | None = None,
         raise ContractViolation("extension is not continuous")
     if fstar.after(r.embedding).mapping != f.mapping:
         raise ContractViolation("extension does not factor the original map")
-    if verify_unique:
-        matches = [g for g in enumerate_continuous_maps(r.space, y, caps)
-                   if g.after(r.embedding).mapping == f.mapping]
-        if [g.mapping for g in matches] != [fstar.mapping]:
-            raise ContractViolation(
-                f"expected exactly one factorization, found {len(matches)}"
-            )
     return fstar
 
 
-def functor_map(f: ContinuousMap, c: CategoryTag,
-                source_reflection: Reflection | None = None,
-                target_reflection: Reflection | None = None) -> ContinuousMap:
-    """The action on reflections: A -> cl(f(A)), the unique continuous map
-    making the naturality square with the two embeddings commute."""
-    rx = source_reflection or reflect(f.source, c)
-    ry = target_reflection or reflect(f.target, c)
-    mapping = []
-    for a in rx.family.members:
-        b = f.target.closure(f.image_mask(a))
-        if b not in ry.family:
-            raise ContractViolation(
-                "image closure of a K-set is not a K-set of the target"
-            )
-        mapping.append(ry.family.member_position(b))
-    fk = ContinuousMap(rx.space, ry.space, tuple(mapping))
-    if not check_continuous(fk).ok:
-        raise ContractViolation("functorial action is not continuous")
-    if fk.after(rx.embedding).mapping != ry.embedding.after(f).mapping:
-        raise ContractViolation("naturality square does not commute")
-    return fk
+def functor_map(f: ContinuousMap, c: CategoryTag) -> ContinuousMap:
+    """The action on reflections: the extension of eta_Y o f along eta_X,
+    which sends A to the point cl(f(A)) and makes the naturality square
+    commute."""
+    return extend(reflect(f.target, c).embedding.after(f), reflect(f.source, c))
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +145,11 @@ def universal_property_report(x: FiniteSpace, c: CategoryTag,
 
 
 @cache
-def _catalog(max_points: int) -> tuple[FiniteSpace, ...]:
-    """The first order of each isomorphism class among the DAGs i -> j
-    (i < j) on each size in turn, told apart by their canonical forms."""
+def sober_target_catalog(max_points: int = 4) -> tuple[FiniteSpace, ...]:
+    """All T0 spaces on up to `max_points` points, one per homeomorphism
+    class; finite T0 spaces are sober.  Each class keeps the first order
+    among the DAGs i -> j (i < j) on each size in turn, told apart by their
+    canonical forms."""
     kept: list[FiniteSpace] = []
     forms: set[tuple[int, ...]] = set()
     for n in range(1, max_points + 1):
@@ -189,46 +166,19 @@ def _catalog(max_points: int) -> tuple[FiniteSpace, ...]:
     return tuple(kept)
 
 
-def sober_target_catalog(max_points: int = 4) -> tuple[FiniteSpace, ...]:
-    """All T0 spaces on up to `max_points` points, one per homeomorphism
-    class; finite T0 spaces are sober."""
-    return _catalog(max_points)
-
-
 # ---------------------------------------------------------------------------
 # dcpo completion
 
 
-@dataclass(frozen=True)
-class DcpoCompletion:
-    """The universal dcpo completion of a poset: the closed d-sets of its
-    Scott space ordered by inclusion, with unit x -> cl{x}."""
-
-    base: object          # FiniteSpace or the omega-chain symbolic space
-    completed: object     # FiniteSpace or the omega-plus-one symbolic space
-    unit: object          # point table, or a symbolic embedding descriptor
-
-
-def d_completion(p: Union[FiniteSpace, object]) -> DcpoCompletion:
-    """Finite posets complete to an isomorphic copy of themselves; the
-    omega chain completes to the chain with one new top point.  The unit is
-    checked to be monotone, which on finite posets preserves directed suprema
-    (their maxima); `oracles.dcpo_completion` enumerates them."""
-    if not isinstance(p, FiniteSpace):
-        from . import symbolic
-
-        if isinstance(p, symbolic.SymbolicSpace) and p.variant is symbolic.SymbolicVariant.OMEGA_CHAIN:
-            reflection = symbolic.sym_reflect(p, CategoryTag.D_SPACE)
-            return DcpoCompletion(p, reflection.space, reflection.embedding)
-        raise UnsupportedSpaceError(
-            "dcpo completion supports finite posets and the omega chain only"
-        )
-    family = k_family(p, CategoryTag.D_SPACE)
-    completed = FiniteSpace._of_order(tuple(p.render_subset(m) for m in family.members),
-                                      _inclusion_up_rows(family.members))
-    unit = tuple(family.member_position(p.down_masks[i]) for i in range(p.n))
-    for i in range(p.n):
-        for j in bit_indices(p.up_masks[i]):
-            if not completed.leq(unit[i], unit[j]):
-                raise ContractViolation("completion unit is not monotone")
-    return DcpoCompletion(p, completed, unit)
+def d_completion(p: Union[FiniteSpace, SymbolicSpace]) -> Union[Reflection, SymbolicReflection]:
+    """The D-completion of Keimel and Lawson is the d-reflection: a finite
+    poset completes to an isomorphic copy of itself, and the omega chain to
+    the chain with one new top point.  `oracles.dcpo_completion` checks that
+    the unit preserves directed suprema."""
+    if isinstance(p, FiniteSpace):
+        return reflect(p, CategoryTag.D_SPACE)
+    if isinstance(p, SymbolicSpace) and p.variant is SymbolicVariant.OMEGA_CHAIN:
+        return sym_reflect(p, CategoryTag.D_SPACE)
+    raise UnsupportedSpaceError(
+        "dcpo completion supports finite posets and the omega chain only"
+    )

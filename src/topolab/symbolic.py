@@ -339,23 +339,11 @@ def reflection_open_of(base: SymbolicSpace, target: SymbolicSpace,
 # products with a finite factor
 
 
-@dataclass(frozen=True)
-class SymbolicProductIrr:
-    """Irr_c of (symbolic x finite) as the pair of factor families: the
-    irreducible closed sets of the product are exactly the products of
-    irreducible closed factor sets."""
-
-    sym_space: SymbolicSpace
-    finite_space: FiniteSpace
-    sym_irr: SymbolicFamily
-
-    def all_pairs_have_generic_points(self) -> bool:
-        """True iff every member B x C has a generic point, which happens iff
-        B and C both do (closures multiply across finite products).  Every C
-        does, the finite factor being sober; `check_kspace_product` takes
-        that half from `oracles.sober`."""
-        return self.sym_irr.members_are_point_closures()
-
-
-def sym_product_irr(s: SymbolicSpace, f: FiniteSpace) -> SymbolicProductIrr:
-    return SymbolicProductIrr(s, f, sym_family(s, "irr"))
+def sym_product_irr(s: SymbolicSpace, f: FiniteSpace) -> bool:
+    """Whether every irreducible closed set B x C of the product with the
+    finite factor `f` has a generic point.  The irreducible closed sets of
+    the product are exactly the products of irreducible closed factor sets,
+    and B x C has one iff B and C both do (closures multiply across finite
+    products).  Every C does, the finite factor being sober;
+    `check_kspace_product` takes that half from `oracles.sober`."""
+    return sym_family(s, "irr").members_are_point_closures()

@@ -294,8 +294,14 @@ def test_product_theorems_count_the_gamma_cross_checks_they_skip():
 def test_verify_config_validation():
     with pytest.raises(ValidationError):
         VerifyConfig(samples=0)
-    with pytest.raises(ValidationError):
-        VerifyConfig(max_points=99)
+    with pytest.raises(ValidationError) as exc:
+        VerifyConfig(max_points=13)
+    assert str(exc.value) == \
+        "max_points 13 exceeds the point cap 12; TOPOLAB_CAP=max_points=13 lifts it"
+    for bad in (0, -1):
+        with pytest.raises(ValidationError) as exc:
+            VerifyConfig(max_points=bad)
+        assert str(exc.value) == "max_points must be positive"
 
 
 def test_cap_env_override(monkeypatch):
@@ -362,6 +368,14 @@ def test_cli_info_and_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.topo"
     bad.write_text("space b\npoints a b\nopens {} {a}\n")
     assert main(["info", str(bad)]) == 2
+
+    capsys.readouterr()
+    latin1 = tmp_path / "latin1.topo"
+    latin1.write_bytes(b"space x\npoints a\xff b\n")
+    assert main(["info", str(latin1)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {str(latin1)!r}: byte 16 is not UTF-8\n"
+    assert main(["info", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {str(tmp_path)!r}: ")
 
 
 def test_cli_repeated_labels_fail_alike_in_order_and_opens_bodies(tmp_path, capsys):

@@ -220,8 +220,7 @@ def test_kset_image_check_sweep(sierpinski, vee):
 
 def test_witness_search_on_sierpinski(sierpinski):
     top = sierpinski.mask_of("top")
-    result = rudin_witness_search(sierpinski, [top], sierpinski.full_mask)
-    assert result.minimal_closed == sierpinski.full_mask
+    assert rudin_witness_search(sierpinski, [top], sierpinski.full_mask) == sierpinski.full_mask
 
 
 def test_witness_search_principal_filter():
@@ -229,8 +228,7 @@ def test_witness_search_principal_filter():
     p = 2
     up = space.saturation(1 << p)
     cl = space.closure(1 << p)
-    result = rudin_witness_search(space, [up], cl)
-    assert result.minimal_closed == cl
+    assert rudin_witness_search(space, [up], cl) == cl
 
 
 def test_witness_search_certifies_minimality():
@@ -240,8 +238,7 @@ def test_witness_search_certifies_minimality():
     members = [base] + ([grown] if grown != base else [])
     anchor = base & -base
     c0 = space.closure(anchor | 0b10000)
-    result = rudin_witness_search(space, members, c0)
-    a = result.minimal_closed
+    a = rudin_witness_search(space, members, c0)
     assert space.is_closed(a) and a & ~c0 == 0
     assert all(a & m for m in members)
     for b in space.closed_sets:

@@ -127,7 +127,7 @@ def assert_witness_search_matches_oracle(x, members, c0):
         with pytest.raises(ValidationError, match="not irreducible"):
             rudin_witness_search(x, members, c0)
     else:
-        assert rudin_witness_search(x, members, c0).minimal_closed == expected, \
+        assert rudin_witness_search(x, members, c0) == expected, \
             (x.name, members, c0)
 
 
@@ -171,7 +171,7 @@ def test_witness_search_on_a_wide_antichain():
     # its Smyth power space has more opens than the default cap allows
     x = antichain(6)
     members = [x.full_mask, 0b111100, 0b001100]
-    assert rudin_witness_search(x, members, x.full_mask).minimal_closed == 0b000100
+    assert rudin_witness_search(x, members, x.full_mask) == 0b000100
 
 
 @given(orders())
@@ -279,10 +279,10 @@ def test_theorem_checkers_skip_over_budget():
 def test_dcpo_oracles():
     for x in (random_space(3, 4), random_space(8, 6), order_space(3, [(0, 1), (1, 2)])):
         comp = d_completion(x)
-        assert oracles.dcpo_completion(x, comp.completed, comp.unit).holds is True
+        assert oracles.dcpo_completion(x, comp.space, comp.embedding.mapping).holds is True
     # on the chain p0 < p1 < p2 the reversed unit sends max{p0, p1} = p1 to
     # the closure of p1, below the image of p0
-    reversed_unit = tuple(reversed(comp.unit))
-    assert oracles.dcpo_completion(x, comp.completed, reversed_unit).holds is False
+    reversed_unit = tuple(reversed(comp.embedding.mapping))
+    assert oracles.dcpo_completion(x, comp.space, reversed_unit).holds is False
     big = antichain(oracles.DCPO_MAX_POINTS + 1)
     assert oracles.dcpo_completion(big, big, tuple(range(big.n))).holds is None

@@ -9,7 +9,10 @@ from test_oracle_kernels import isomorphic_by_permutations
 from topolab import (
     ALL_CATEGORIES,
     CategoryTag,
+    ContinuousMap,
+    ContractViolation,
     ValidationError,
+    check_continuous,
     continuous_map,
     d_completion,
     diamond,
@@ -28,6 +31,7 @@ from topolab import (
     reflect,
     satisfies_category,
     sober_target_catalog,
+    sym_reflect,
     universal_property_report,
 )
 from topolab.symbolic import OMEGA_CHAIN, SymbolicVariant
@@ -54,22 +58,26 @@ def test_reflection_embedding_pulls_back_diamonds(vee):
 
 def test_extend_of_eta_is_identity(vee):
     r = reflect(vee, CategoryTag.WELL_FILTERED)
-    fstar = extend(r.embedding, r, verify_unique=True)
+    fstar = extend(r.embedding, r)
     assert fstar.mapping == tuple(range(r.space.n))
+    # the extension is the only factorization through the embedding
+    assert universal_property_report(vee, CategoryTag.WELL_FILTERED, targets=[r.space]).ok
 
 
 def test_extend_of_constant_is_constant(vee, sierpinski):
     r = reflect(vee, CategoryTag.WELL_FILTERED)
     const = continuous_map(vee, sierpinski, (0, 0, 0))
-    fstar = extend(const, r, verify_unique=True)
+    fstar = extend(const, r)
     assert set(fstar.mapping) == {0}
+    assert universal_property_report(vee, CategoryTag.WELL_FILTERED, targets=[sierpinski]).ok
 
 
 def test_extend_vee_to_sierpinski(vee, sierpinski):
     r = reflect(vee, CategoryTag.WELL_FILTERED)
     f = continuous_map(vee, sierpinski,
                        {"a": "bot", "b": "bot", "t": "top"})
-    fstar = extend(f, r, verify_unique=True)
+    fstar = extend(f, r)
+    assert universal_property_report(vee, CategoryTag.WELL_FILTERED, targets=[sierpinski]).ok
     by_member = {r.family.members[k]: fstar.target.points[fstar.mapping[k]]
                  for k in range(len(r.family.members))}
     assert by_member[vee.mask_of("a", "b", "t")] == "top"
@@ -98,8 +106,7 @@ def test_functor_map_example(discrete2, sierpinski):
     f = continuous_map(discrete2, sierpinski, {"a": "bot", "b": "top"})
     rx = reflect(discrete2, CategoryTag.SOBRIETY)
     ry = reflect(sierpinski, CategoryTag.SOBRIETY)
-    fk = functor_map(f, CategoryTag.SOBRIETY, source_reflection=rx,
-                     target_reflection=ry)
+    fk = functor_map(f, CategoryTag.SOBRIETY)
     image_of_a = ry.family.members[fk.mapping[rx.family.member_position(
         discrete2.mask_of("a"))]]
     image_of_b = ry.family.members[fk.mapping[rx.family.member_position(
@@ -113,16 +120,19 @@ def test_functor_map_composition_law():
     maps_xy = enumerate_continuous_maps(x, y)[:4]
     maps_yz = enumerate_continuous_maps(y, z)[:4]
     for c in ALL_CATEGORIES:
-        rx, ry, rz = (reflect(s, c) for s in (x, y, z))
         for f in maps_xy:
             for g in maps_yz:
-                left = functor_map(g.after(f), c, source_reflection=rx,
-                                   target_reflection=rz)
-                right = functor_map(g, c, source_reflection=ry,
-                                    target_reflection=rz).after(
-                    functor_map(f, c, source_reflection=rx,
-                                target_reflection=ry))
+                left = functor_map(g.after(f), c)
+                right = functor_map(g, c).after(functor_map(f, c))
                 assert left.mapping == right.mapping
+
+
+def test_functor_map_rejects_a_map_that_is_not_monotone(vee, sierpinski):
+    # a goes to top and t to bot: a <= t but f(a) is above f(t)
+    f = ContinuousMap(vee, sierpinski, (1, 0, 0))
+    assert not check_continuous(f).ok
+    with pytest.raises(ContractViolation):
+        functor_map(f, CategoryTag.SOBRIETY)
 
 
 # ---------------------------------------------------------------------------
@@ -251,24 +261,27 @@ def test_local_compactness_flags_transfer(diamond4):
 def test_d_completion_of_chain():
     chain = from_poset(("x", "y"), [("x", "y")])
     comp = d_completion(chain)
-    assert comp.completed.n == 2
-    assert find_homeomorphism(comp.completed, chain)
+    assert comp == reflect(chain, CategoryTag.D_SPACE)
+    assert comp.space.n == 2
+    assert find_homeomorphism(comp.space, chain)
 
 
 def test_d_completion_of_random_posets():
     for seed in (5, 44):
         x = random_space(seed, 6)
         comp = d_completion(x)
-        assert is_homeomorphic(comp.completed, x)
+        assert comp == reflect(x, CategoryTag.D_SPACE)
+        assert is_homeomorphic(comp.space, x)
         # the unit sends each element to its point closure
         for i in range(x.n):
-            member = comp.completed.points[comp.unit[i]]
+            member = comp.space.points[comp.embedding.mapping[i]]
             assert member == x.render_subset(x.down_masks[i])
 
 
 def test_d_completion_of_omega_chain():
     comp = d_completion(OMEGA_CHAIN)
-    assert comp.completed.variant is SymbolicVariant.OMEGA_PLUS_ONE
+    assert comp == sym_reflect(OMEGA_CHAIN, CategoryTag.D_SPACE)
+    assert comp.space.variant is SymbolicVariant.OMEGA_PLUS_ONE
 
 
 def test_d_completion_rejects_other_symbolics():
