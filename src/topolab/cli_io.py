@@ -201,7 +201,10 @@ def parse(text: str) -> Space:
     name = None
     points: Optional[tuple[str, ...]] = None
     order_pairs: list[tuple[str, str]] = []
-    opens_groups: list[tuple[int, set[str]]] = []  # (line, labels)
+    bits: dict[str, int] = {}  # label -> its bit, once the points line is read
+    opens_masks: list[int] = []
+    unknown: Optional[tuple[str, int]] = None  # the first label of no point, and its line
+    early_opens: list[tuple[int, str]] = []  # opens lines read before the points line
     saw_order = False
     saw_opens = False
     symbolic_variant = None
@@ -236,6 +239,7 @@ def parse(text: str) -> Space:
             if len(tokens) < 2:
                 raise DslError("points line needs at least one label", lineno)
             points = tuple(tokens[1:])
+            bits = {p: 1 << i for i, p in enumerate(points)}
             continue
         if head == "order":
             if symbolic_variant is not None or saw_opens:
@@ -251,8 +255,14 @@ def parse(text: str) -> Space:
             if symbolic_variant is not None or saw_order:
                 raise DslError("opens lines cannot mix with this body", lineno)
             saw_opens = True
-            opens_groups.extend((lineno, group) for group
-                                in _parse_brace_groups(line[len("opens"):], lineno))
+            rest = line[len("opens"):]
+            masks, label = _scan_opens(rest, lineno, bits)
+            if points is None:
+                early_opens.append((lineno, rest))  # its labels are read again below
+            else:
+                opens_masks += masks
+                if unknown is None and label is not None:
+                    unknown = (label, lineno)
             continue
         raise DslError(f"unknown directive {head!r}", lineno)
 
@@ -263,39 +273,46 @@ def parse(text: str) -> Space:
     if points is None:
         raise DslError("missing points line", 1)
     if saw_opens:
-        index = {p: i for i, p in enumerate(points)}
-        masks = []
-        for group_line, group in opens_groups:
-            mask = 0
-            for label in group:
-                if label not in index:
-                    raise DslError(f"open mentions unknown point {label!r}", group_line)
-                mask |= 1 << index[label]
-            masks.append(mask)
-        return FiniteSpace(points, masks, name=name)
+        for group_line, rest in reversed(early_opens):  # the first lines of the body
+            masks, label = _scan_opens(rest, group_line, bits)
+            opens_masks += masks
+            if label is not None:
+                unknown = (label, group_line)
+        if unknown is not None:
+            raise DslError(f"open mentions unknown point {unknown[0]!r}", unknown[1])
+        return FiniteSpace(points, opens_masks, name=name)
     return from_poset(points, order_pairs).renamed(name)
 
 
-def _parse_brace_groups(rest: str, lineno: int) -> list[set[str]]:
-    groups = []
-    current: Optional[set[str]] = None
+def _scan_opens(rest: str, lineno: int, bits: dict[str, int]) -> tuple[list[int], Optional[str]]:
+    """The masks of the brace groups of one opens line, in one pass over its
+    tokens, and its first label that is not in `bits` (None if there is
+    none).  A malformed brace group raises at once; an unknown label is
+    only reported, since the errors of later lines come first."""
+    masks = []
+    mask = None  # the group being read, or None between groups
+    unknown = None
     for token in rest.replace("{", " { ").replace("}", " } ").split():
         if token == "{":
-            if current is not None:
+            if mask is not None:
                 raise DslError("nested brace group", lineno)
-            current = set()
+            mask = 0
         elif token == "}":
-            if current is None:
+            if mask is None:
                 raise DslError("unbalanced '}'", lineno)
-            groups.append(current)
-            current = None
+            masks.append(mask)
+            mask = None
+        elif mask is None:
+            raise DslError(f"label {token!r} outside braces", lineno)
         else:
-            if current is None:
-                raise DslError(f"label {token!r} outside braces", lineno)
-            current.add(token)
-    if current is not None:
+            bit = bits.get(token)
+            if bit is not None:
+                mask |= bit
+            elif unknown is None:
+                unknown = token
+    if mask is not None:
         raise DslError("unbalanced '{'", lineno)
-    return groups
+    return masks, unknown
 
 
 def render(space: Space) -> str:
@@ -321,7 +338,7 @@ def to_jsonable(obj) -> dict:
             "kind": "finite_space",
             "name": obj.name,
             "points": list(obj.points),
-            "opens": [list(obj.labels_of(u)) for u in obj.opens],
+            "opens": obj.label_lists(obj.opens),
         }
     if isinstance(obj, SymbolicSpace):
         return {
@@ -337,7 +354,7 @@ def to_jsonable(obj) -> dict:
             "label": obj.label,
             "status": "exact",
             "base": obj.base.name,
-            "members": [list(obj.base.labels_of(m)) for m in obj.members],
+            "members": obj.base.label_lists(obj.members),
         }
     if isinstance(obj, sym.SymbolicFamily):
         return {
@@ -421,9 +438,37 @@ def _dump_json(value, indent: str = "\n") -> str:
         try:
             body = sep.join(map(encode_basestring, value))
         except TypeError:  # an item that is not a string
-            body = sep.join([_dump_json(v, inner) for v in value])
+            body = _dump_string_lists(value, inner)
+            if body is None:
+                body = sep.join([_dump_json(v, inner) for v in value])
         return "[" + inner + body + indent + "]"
     return json.dumps(value)
+
+
+def _dump_string_lists(value, indent: str) -> Optional[str]:
+    """The items of `value`, joined as _dump_json joins them, when every
+    item is a list (or tuple) of strings, such as the opens of a space; else
+    None.  One comprehension writes them all, and each distinct string is
+    encoded once."""
+    if not all(issubclass(t, (list, tuple)) for t in set(map(type, value))):
+        return None
+    inner = indent + "  "
+    head, sep, tail = "[" + inner, "," + inner, indent + "]"
+    encoded = _EncodedStrings().__getitem__
+    try:
+        return ("," + indent).join([head + sep.join(map(encoded, v)) + tail if v else "[]"
+                                    for v in value])
+    except TypeError:  # an item of an item that is not a string
+        return None
+
+
+class _EncodedStrings(dict):
+    """The JSON text of each string, encoded on its first lookup; any other
+    key raises TypeError, as encode_basestring does."""
+
+    def __missing__(self, text: str) -> str:
+        out = self[text] = encode_basestring(text)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -995,8 +1040,8 @@ def _load_space(spec: str) -> Space:
     try:
         with open(spec, "rb") as handle:
             data = handle.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {spec!r}: {exc}") from exc
+    except OSError as exc:  # str(exc) would name the path a second time
+        raise ValidationError(f"cannot read {spec!r}: {exc.strerror or exc}") from exc
     try:
         # parse's splitlines breaks at \r\n and \r: no newline translation is lost
         text = data.decode("utf-8")

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
 
-from .core_space import FiniteSpace
 from .errors import UnsupportedSpaceError, ValidationError
 from .families import CategoryTag
 
@@ -339,11 +338,12 @@ def reflection_open_of(base: SymbolicSpace, target: SymbolicSpace,
 # products with a finite factor
 
 
-def sym_product_irr(s: SymbolicSpace, f: FiniteSpace) -> bool:
-    """Whether every irreducible closed set B x C of the product with the
-    finite factor `f` has a generic point.  The irreducible closed sets of
+def sym_product_irr(s: SymbolicSpace) -> bool:
+    """Whether every irreducible closed set B x C of the product of `s` with
+    a finite factor has a generic point.  The irreducible closed sets of
     the product are exactly the products of irreducible closed factor sets,
     and B x C has one iff B and C both do (closures multiply across finite
-    products).  Every C does, the finite factor being sober;
-    `check_kspace_product` takes that half from `oracles.sober`."""
+    products).  Every C does, every finite T0 factor being sober, so the
+    answer does not depend on the factor; `check_kspace_product` takes the
+    factor's half from `oracles.sober`."""
     return sym_family(s, "irr").members_are_point_closures()

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_oracles import orders
 
@@ -91,6 +91,31 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(DslError, match="duplicate symbolic") as err:
         parse("space s\nsymbolic cofinite\n# second body\nsymbolic omega_chain\n")
     assert err.value.line == 4
+
+
+def test_parse_opens_lines_before_the_points_line():
+    space = parse("space x\nopens {} {1}\nopens {0 1}\npoints 0 1\n")
+    assert space == parse("space x\npoints 0 1\nopens {} {1} {0 1}\n")
+    with pytest.raises(DslError) as err:
+        parse("space x\nopens {} {1}\nopens {0 1} {zz}\npoints 0 1\nopens {yy}\n")
+    assert err.value.line == 3 and "'zz'" in str(err.value)
+    # a malformed line after an unknown label is reported first, as it always was
+    with pytest.raises(DslError) as err:
+        parse("space x\npoints 0 1\nopens {} {zz} {0 1}\nopens {1\n")
+    assert err.value.line == 4 and "unbalanced '{'" in str(err.value)
+
+
+def test_unknown_label_is_the_first_in_document_order(tmp_path):
+    """Whatever the hash seed, the error names the first unknown label."""
+    doc = tmp_path / "unknown.topo"
+    doc.write_text("space s\npoints a b\nopens {} {a b} {b zz yy qq rr}\n")
+    env = _python_m_topolab_env()
+    for seed in range(1, 7):
+        env["PYTHONHASHSEED"] = str(seed)
+        proc = subprocess.run([sys.executable, "-m", "topolab", "info", str(doc)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: line 3: open mentions unknown point 'zz'\n", seed
 
 
 def test_parse_render_round_trip_on_zoo():
@@ -194,8 +219,13 @@ _json_text = st.text(st.one_of(
     max_size=8)
 _json_strings = st.one_of(_json_text, _json_text.map(_Str))
 _json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _json_strings)
+_string_lists = st.one_of(st.lists(_json_strings, max_size=4),
+                          st.lists(_json_strings, max_size=4).map(tuple))
 _json_values = st.recursive(_json_scalars, lambda children: st.one_of(
     st.lists(_json_strings),  # the writer's one-join path
+    st.lists(_string_lists, max_size=4),  # its one-comprehension path, empty lists included
+    st.lists(st.one_of(_string_lists, children), max_size=4),  # among other values
+    st.lists(st.lists(st.one_of(_json_strings, children), max_size=3), max_size=3),
     st.lists(children),
     st.lists(children).map(tuple),
     st.lists(children).map(_List),
@@ -206,8 +236,40 @@ _json_values = st.recursive(_json_scalars, lambda children: st.one_of(
 
 @given(_json_values)
 @settings(max_examples=100, deadline=None)
+@example({"k": [["a", "b"], [], ["c"]]})
+@example([[], [("a",)], ["b"]])
+@example([["a"], "b"])  # a string among string lists is not a list of its characters
+@example([["a"], ""])
+@example([["a"], 0])
+@example([["a"], None])
+@example([["a"], {"k": "v"}])
+@example([["a"], ["b", 1]])
+@example([["a"], [["b"]]])
+@example([["a", _Str("a")], _List(["b"])])
 def test_json_writer_matches_the_stdlib(value):
     assert _dump_json(value) == _stdlib_json(value)
+
+
+def test_json_of_spaces_past_two_label_blocks(monkeypatch):
+    """Opens and members on carriers of 13 to 18 points (three label
+    blocks) with labels that JSON escapes: the labels are those of the set
+    bits, and the text is the stdlib's."""
+    monkeypatch.setenv("TOPOLAB_CAP", "max_points=18")
+    from topolab import CategoryTag, irreducible_closed, reflect
+
+    odd = ['q"', "b\\", "é", "☃", "𝒳", "tab\t", "/", "\u2028"]
+    for n in (13, 18):
+        labels = [odd[i] if i < len(odd) else f"p{i}" for i in range(n)]
+        # disjoint 2- and 3-chains keep the lattice a few thousand opens
+        pairs = [(labels[i], labels[i + 1]) for i in range(0, n - 1) if i % 3 != 2]
+        x = from_poset(labels, pairs).renamed(f"odd{n}")
+        objs = [x, irreducible_closed(x), reflect(x, CategoryTag.SOBRIETY)]
+        doc = to_jsonable(x)
+        assert doc["opens"] == [[p for i, p in enumerate(labels) if u >> i & 1] for u in x.opens]
+        for obj in objs:
+            text = render_json(obj)
+            assert json.loads(text) == to_jsonable(obj)
+            assert text == _stdlib_json(to_jsonable(obj))
 
 
 def _golden_argvs(spec: str, symbolic: bool) -> list[list[str]]:
@@ -363,7 +425,10 @@ def test_cli_info_and_exit_codes(tmp_path, capsys):
 
     assert main(["check", str(doc), "--property", "sober"]) == 0
     assert main(["check", str(doc), "--property", "nonsense"]) == 2
-    assert main(["info", str(tmp_path / "missing.topo")]) == 2
+    capsys.readouterr()
+    missing = str(tmp_path / "missing.topo")
+    assert main(["info", missing]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {missing!r}: No such file or directory\n"
 
     bad = tmp_path / "bad.topo"
     bad.write_text("space b\npoints a b\nopens {} {a}\n")
@@ -375,7 +440,7 @@ def test_cli_info_and_exit_codes(tmp_path, capsys):
     assert main(["info", str(latin1)]) == 2
     assert capsys.readouterr().err == f"error: cannot read {str(latin1)!r}: byte 16 is not UTF-8\n"
     assert main(["info", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: cannot read {str(tmp_path)!r}: ")
+    assert capsys.readouterr().err == f"error: cannot read {str(tmp_path)!r}: Is a directory\n"
 
 
 def test_cli_repeated_labels_fail_alike_in_order_and_opens_bodies(tmp_path, capsys):

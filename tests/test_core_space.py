@@ -34,7 +34,14 @@ from topolab import (
     sober_target_catalog,
 )
 from topolab.caps import Caps
-from topolab.core_space import _transpose, bit_indices, compress_mask
+from topolab.core_space import (
+    _byte_transpose,
+    _transpose,
+    _upper_sets,
+    bit_indices,
+    canonical_masks,
+    compress_mask,
+)
 
 
 def brute_force_upper_sets(space):
@@ -241,6 +248,86 @@ def test_space_validation_names_axioms():
         FiniteSpace(labels, tuple(m for m in range(1 << 9) if m != 0b11))
 
 
+def per_bit_validation(points, opens):
+    """A copy of the validation that derived the up-rows by walking the
+    bits of every open, kept as the reference for the transposed
+    derivation: the up-rows of a valid family, or the first error."""
+    n = len(points)
+    full = (1 << n) - 1
+    opens = canonical_masks(opens)
+    for u in opens:
+        if u < 0 or u > full:
+            raise ValidationError("an open set is not a subset of the carrier")
+    opens_set = frozenset(opens)
+    if 0 not in opens_set:
+        raise ValidationError("the empty set is not open")
+    if full not in opens_set:
+        raise ValidationError("the full carrier is not open")
+    up = [full] * n
+    for u in opens:
+        for i in bit_indices(u):
+            up[i] &= u
+    labels = FiniteSpace._of_order(points, up)  # for _check_t0 and render_subset only
+    labels._check_t0(up)
+    for m in up:
+        if m not in opens_set:
+            raise ValidationError("opens are not closed under intersection: "
+                                  f"{labels.render_subset(m)} is missing")
+    if _upper_sets(up, limit=len(opens)) is None:
+        missing = next(a | r for a in opens for r in up if a | r not in opens_set)
+        raise ValidationError("opens are not closed under union: "
+                              f"{labels.render_subset(missing)} is missing")
+    return tuple(up)
+
+
+def _outcome(build, points, opens):
+    try:
+        return build(points, opens)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@st.composite
+def open_families(draw):
+    """Families on 1 to 20 points (up to three bytes an open): the opens of
+    an order, with sets dropped and sets added, or arbitrary sets, with and
+    without the empty set and the carrier; most are invalid in one of the
+    ways validation names."""
+    n = draw(st.integers(1, 20))
+    full = (1 << n) - 1
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2**64 - 1))
+        x = draw(orders()) if n <= 6 else random_space(seed, n, Caps(max_points=20))
+        n, full = x.n, x.full_mask
+        opens = set(x.opens)
+        opens -= set(draw(st.lists(st.sampled_from(sorted(opens)), max_size=2)))
+    else:
+        opens = set(draw(st.lists(st.integers(0, full), max_size=40)))
+    opens |= set(draw(st.lists(st.integers(0, full), max_size=2)))
+    opens |= {m for m, keep in ((0, draw(st.booleans())), (full, draw(st.booleans()))) if keep}
+    return tuple(f"p{i}" for i in range(n)), sorted(opens)
+
+
+@given(open_families())
+@settings(max_examples=300, deadline=None)
+def test_space_validation_matches_the_per_bit_derivation(family):
+    points, opens = family
+    got = _outcome(lambda p, o: FiniteSpace(p, o).up_masks, points, opens)
+    assert got == _outcome(per_bit_validation, points, opens)
+
+
+@given(st.integers(1, 20).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=8))))
+@settings(max_examples=100, deadline=None)
+def test_labels_of_and_label_lists_list_the_set_bits(case):
+    n, masks = case
+    x = from_poset([f"p{i}" for i in range(n)], [], Caps(max_points=20))
+    want = [[f"p{i}" for i in range(n) if m >> i & 1] for m in masks]
+    assert x.label_lists(masks) == want
+    assert x.label_lists(masks) == want  # the tables, filled by the first call
+    assert [x.labels_of(m) for m in masks] == [tuple(w) for w in want]
+
+
 def test_renamed_keeps_the_validated_space(vee, monkeypatch):
     def fail(self, *args, **kwargs):
         raise AssertionError("renamed must not validate again")
@@ -296,6 +383,15 @@ def assert_rows_match_the_pairwise_order(x):
 @settings(max_examples=60, deadline=None)
 def test_transpose_and_covers_on_orders(x):
     assert_rows_match_the_pairwise_order(x)
+
+
+@given(st.integers(1, 70).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=30))))
+@settings(max_examples=100, deadline=None)
+def test_byte_transpose_is_the_transpose(case):
+    n, rows = case
+    rows = rows + [1 << n - 1]  # the union reaches bit n - 1, as the carrier does
+    assert _byte_transpose(rows, n) == list(_transpose(rows))
 
 
 def test_transpose_and_covers_past_one_machine_word():

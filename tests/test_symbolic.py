@@ -5,6 +5,7 @@ import pytest
 
 from topolab import (
     CategoryTag,
+    check_kspace_product,
     sym_family,
     sym_predicates,
     sym_product_irr,
@@ -207,17 +208,20 @@ def test_reflection_opens_are_order_isomorphic():
 
 def test_product_irreducibles_with_sierpinski(sierpinski):
     assert sym_family(OMEGA_CHAIN, "irr").includes_all
-    assert not sym_product_irr(OMEGA_CHAIN, sierpinski)  # the carrier has no generic point
+    assert not sym_product_irr(OMEGA_CHAIN)  # the carrier has no generic point
+    assert not check_kspace_product([OMEGA_CHAIN, sierpinski], CategoryTag.SOBRIETY).product_is_kspace.holds
 
 
 def test_product_irreducibles_cofinite_discrete(discrete2):
     assert sym_family(COFINITE, "irr").includes_all
-    assert not sym_product_irr(COFINITE, discrete2)
+    assert not sym_product_irr(COFINITE)
+    assert not check_kspace_product([COFINITE, discrete2], CategoryTag.SOBRIETY).product_is_kspace.holds
 
 
 def test_one_point_factor_keeps_sym_irreducibles():
     point = __import__("topolab").random_space(0, 1)
-    assert not sym_product_irr(COFINITE, point)
+    assert not sym_product_irr(COFINITE)
     # the chain with its top is sober: every irreducible closed set is a point closure
-    assert sym_product_irr(OMEGA_PLUS_ONE, point)
+    assert sym_product_irr(OMEGA_PLUS_ONE)
+    assert check_kspace_product([OMEGA_PLUS_ONE, point], CategoryTag.SOBRIETY).product_is_kspace.holds
 
