@@ -448,27 +448,16 @@ def _dump_json(value, indent: str = "\n") -> str:
 def _dump_string_lists(value, indent: str) -> Optional[str]:
     """The items of `value`, joined as _dump_json joins them, when every
     item is a list (or tuple) of strings, such as the opens of a space; else
-    None.  One comprehension writes them all, and each distinct string is
-    encoded once."""
+    None.  One comprehension writes them all."""
     if not all(issubclass(t, (list, tuple)) for t in set(map(type, value))):
         return None
     inner = indent + "  "
     head, sep, tail = "[" + inner, "," + inner, indent + "]"
-    encoded = _EncodedStrings().__getitem__
     try:
-        return ("," + indent).join([head + sep.join(map(encoded, v)) + tail if v else "[]"
-                                    for v in value])
+        return ("," + indent).join([head + sep.join(map(encode_basestring, v)) + tail
+                                    if v else "[]" for v in value])
     except TypeError:  # an item of an item that is not a string
         return None
-
-
-class _EncodedStrings(dict):
-    """The JSON text of each string, encoded on its first lookup; any other
-    key raises TypeError, as encode_basestring does."""
-
-    def __missing__(self, text: str) -> str:
-        out = self[text] = encode_basestring(text)
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -98,30 +98,19 @@ def _transpose(rows: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(columns))
 
 
-# bit k of a byte as the ASCII digit b"0" or b"1", one table per k
-_DIGIT_OF_BIT = tuple(bytes(48 + (b >> k & 1) for b in range(256)) for k in range(8))
-
-
-def _byte_transpose(rows: Sequence[int], n: int) -> list[int]:
-    """_transpose(rows) for rows of n bits whose union has bit n - 1.  The
-    rows are laid out as bytes, last row first, and column i is one strided
-    slice of them translated to binary digits, so no step is taken per row
-    and column in Python.  On many short rows, such as the opens of a space
-    document, this is several times faster than the one string per row that
-    _transpose formats."""
-    width = (n + 7) // 8
-    data = (bytes(rows[::-1]) if width == 1
-            else b"".join([r.to_bytes(width, "little") for r in reversed(rows)]))
-    return [int(data[i >> 3::width].translate(_DIGIT_OF_BIT[i & 7]), 2) for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # spaces
 
 
+def _labels(points: Sequence[str], mask: int) -> tuple[str, ...]:
+    """The labels of the set bits of `mask`, lowest bit first."""
+    # one pass over the labels and the binary digits
+    return tuple([p for p, bit in zip(points, bin(mask)[:1:-1]) if bit == "1"])
+
+
 class _BlockLabels(dict):
     """The label tuples of the subsets of one block of at most six points,
-    keyed by their bit patterns; each is made on its first lookup."""
+    keyed by their bit patterns; each is made by _labels on its first lookup."""
 
     __slots__ = ("points",)
 
@@ -130,9 +119,7 @@ class _BlockLabels(dict):
         self.points = points
 
     def __missing__(self, bits: int) -> tuple[str, ...]:
-        # one pass over the labels and the binary digits, lowest bit first
-        labels = self[bits] = tuple(
-            [p for p, bit in zip(self.points, bin(bits)[:1:-1]) if bit == "1"])
+        labels = self[bits] = _labels(self.points, bits)
         return labels
 
 
@@ -175,7 +162,7 @@ class FiniteSpace:
             raise ValidationError("the full carrier is not open")
 
         # j is above i iff every open that holds i also holds j
-        holders = _byte_transpose(opens, n)  # point -> the opens that hold it
+        holders = _transpose(opens)  # point -> the opens that hold it
         up = [sum(1 << j for j, other in enumerate(holders) if mine & other == mine)
               for mine in holders]
         self._check_t0(up)
@@ -359,7 +346,8 @@ class FiniteSpace:
 
     def label_lists(self, masks: Sequence[int]) -> list[list[str]]:
         """The labels of each mask, lowest bit first, as new lists: one
-        table lookup per block of six points, in tables kept with the space."""
+        table lookup per block of six points, in tables of _labels kept with
+        the space."""
         tables = self._label_tables
         rows = [[*tables[0][m & 63]] for m in masks]
         for k in range(1, len(tables)):
@@ -369,11 +357,9 @@ class FiniteSpace:
         return rows
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
-        tables = self._label_tables
-        labels = tables[0][mask & 63]
-        for k in range(1, len(tables)):
-            labels += tables[k][mask >> 6 * k & 63]
-        return labels
+        # one mask needs no tables, which a space labelled once (the base of
+        # each hyperspace verify builds) would pay to build
+        return _labels(self.points, mask)
 
     def render_subset(self, mask: int) -> str:
         return "{" + ",".join(self.labels_of(mask)) + "}"

@@ -35,7 +35,6 @@ from topolab import (
 )
 from topolab.caps import Caps
 from topolab.core_space import (
-    _byte_transpose,
     _transpose,
     _upper_sets,
     bit_indices,
@@ -383,15 +382,6 @@ def assert_rows_match_the_pairwise_order(x):
 @settings(max_examples=60, deadline=None)
 def test_transpose_and_covers_on_orders(x):
     assert_rows_match_the_pairwise_order(x)
-
-
-@given(st.integers(1, 70).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=30))))
-@settings(max_examples=100, deadline=None)
-def test_byte_transpose_is_the_transpose(case):
-    n, rows = case
-    rows = rows + [1 << n - 1]  # the union reaches bit n - 1, as the carrier does
-    assert _byte_transpose(rows, n) == list(_transpose(rows))
 
 
 def test_transpose_and_covers_past_one_machine_word():
