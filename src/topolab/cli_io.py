@@ -316,19 +316,42 @@ def _scan_opens(rest: str, lineno: int, bits: dict[str, int]) -> tuple[list[int]
 
 
 def render(space: Space) -> str:
-    """Space document text; parse(render(s)) rebuilds an equal space."""
+    """Space document text; parse(render(s)) rebuilds an equal space.  A
+    name that a document cannot hold is written as the variant or as
+    `space`; a point label that it cannot hold raises ValidationError."""
     if isinstance(space, SymbolicSpace):
-        return f"space {space.name or space.variant.value}\n" \
-               f"symbolic {space.variant.value}\n"
-    name = space.name if space.name and " " not in space.name else "space"
+        name = space.name if _is_token(space.name, "#") else space.variant.value
+        return f"space {name}\nsymbolic {space.variant.value}\n"
+    bad = next((p for p in space.points if not _is_token(p, "#<")), None)
+    if bad is not None:
+        raise ValidationError(f"point label {bad!r} cannot be written in a space document, "
+                              f"whose labels hold no whitespace, '#' or '<'")
+    name = space.name if _is_token(space.name, "#") else "space"
     lines = [f"space {name}", "points " + " ".join(space.points)]
     for i, j in space.covers():
         lines.append(f"order {space.points[i]} < {space.points[j]}")
     return "\n".join(lines) + "\n"
 
 
+def _is_token(text: str, reserved: str) -> bool:
+    """Whether parse reads `text` back as one token: it is nonempty and
+    holds no whitespace (which splits tokens and lines) and no character of
+    `reserved` ('#' starts a comment, '<' splits an order line)."""
+    return bool(text) and not any(c.isspace() or c in reserved for c in text)
+
+
 # ---------------------------------------------------------------------------
 # JSON rendering
+
+
+@dataclass(frozen=True)
+class MaskLists:
+    """The label lists of `masks`, each lowest bit first, in a document
+    that to_jsonable builds.  Only _dump_json writes it: json.dumps refuses
+    it rather than write the masks as numbers."""
+
+    space: FiniteSpace
+    masks: Sequence[int]
 
 
 def to_jsonable(obj) -> dict:
@@ -338,7 +361,7 @@ def to_jsonable(obj) -> dict:
             "kind": "finite_space",
             "name": obj.name,
             "points": list(obj.points),
-            "opens": obj.label_lists(obj.opens),
+            "opens": MaskLists(obj, obj.opens),
         }
     if isinstance(obj, SymbolicSpace):
         return {
@@ -354,7 +377,7 @@ def to_jsonable(obj) -> dict:
             "label": obj.label,
             "status": "exact",
             "base": obj.base.name,
-            "members": obj.base.label_lists(obj.members),
+            "members": MaskLists(obj.base, obj.members),
         }
     if isinstance(obj, sym.SymbolicFamily):
         return {
@@ -416,48 +439,60 @@ def render_json(obj) -> str:
     return _dump_json(to_jsonable(obj))
 
 
-def _dump_json(value, indent: str = "\n") -> str:
+def _dump_json(value, indent: str = "\n", tables: Optional[dict] = None) -> str:
     """The text of json.dumps(value, indent=2, ensure_ascii=False,
-    sort_keys=True) for a value with string keys.  The stdlib leaves its C
-    encoder whenever `indent` is set; here every string, and every list of
-    strings in one join, goes through the C string encoder.  `indent` is
-    the newline and indentation that precede the value's closing bracket."""
+    sort_keys=True) for a value with string keys, with each MaskLists
+    written as its label lists.  The stdlib leaves its C encoder whenever
+    `indent` is set; here every string goes through the C string encoder.
+    `indent` is the newline and indentation that precede the value's
+    closing bracket; `tables` keeps the label tables of this one text."""
     if isinstance(value, str):
         return encode_basestring(value)
+    if tables is None:
+        tables = {}
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
         return "{" + inner + ("," + inner).join(
-            encode_basestring(k) + ": " + _dump_json(v, inner)
+            encode_basestring(k) + ": " + _dump_json(v, inner, tables)
             for k, v in sorted(value.items())) + indent + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        sep = "," + inner
-        try:
-            body = sep.join(map(encode_basestring, value))
-        except TypeError:  # an item that is not a string
-            body = _dump_string_lists(value, inner)
-            if body is None:
-                body = sep.join([_dump_json(v, inner) for v in value])
-        return "[" + inner + body + indent + "]"
+        return "[" + inner + ("," + inner).join([_dump_json(v, inner, tables) for v in value]) \
+            + indent + "]"
+    if isinstance(value, MaskLists):
+        return _dump_mask_lists(value, indent, tables)
     return json.dumps(value)
 
 
-def _dump_string_lists(value, indent: str) -> Optional[str]:
-    """The items of `value`, joined as _dump_json joins them, when every
-    item is a list (or tuple) of strings, such as the opens of a space; else
-    None.  One comprehension writes them all."""
-    if not all(issubclass(t, (list, tuple)) for t in set(map(type, value))):
-        return None
+def _dump_mask_lists(leaf: MaskLists, indent: str, tables: dict) -> str:
+    """_dump_json's text of the label lists of `leaf`, one list pass per
+    block of six points.  The table of a block holds the 64 runs of its
+    encoded labels, each label after its separator; every leaf on the same
+    points and indentation in one text shares them."""
+    if not leaf.masks:
+        return "[]"
     inner = indent + "  "
-    head, sep, tail = "[" + inner, "," + inner, indent + "]"
-    try:
-        return ("," + indent).join([head + sep.join(map(encode_basestring, v)) + tail
-                                    if v else "[]" for v in value])
-    except TypeError:  # an item of an item that is not a string
-        return None
+    points, masks = leaf.space.points, leaf.masks
+    blocks = tables.get((points, indent))
+    if blocks is None:
+        blocks = tables[points, indent] = []
+        sep = "," + inner + "  "
+        for k in range(0, len(points), 6):
+            table = [""]
+            for p in points[k:k + 6]:
+                run = sep + encode_basestring(p)
+                table += [t + run for t in table]  # bit b of an index adds the b-th label
+            blocks.append(table)
+    runs = [blocks[0][m & 63] for m in masks]
+    for k in range(1, len(blocks)):
+        table, shift = blocks[k], 6 * k
+        runs = [run + table[m >> shift & 63] for run, m in zip(runs, masks)]
+    tail = inner + "]"
+    return "[" + inner + ("," + inner).join(["[" + run[1:] + tail if run else "[]"
+                                             for run in runs]) + indent + "]"
 
 
 # ---------------------------------------------------------------------------

@@ -108,21 +108,6 @@ def _labels(points: Sequence[str], mask: int) -> tuple[str, ...]:
     return tuple([p for p, bit in zip(points, bin(mask)[:1:-1]) if bit == "1"])
 
 
-class _BlockLabels(dict):
-    """The label tuples of the subsets of one block of at most six points,
-    keyed by their bit patterns; each is made by _labels on its first lookup."""
-
-    __slots__ = ("points",)
-
-    def __init__(self, points: Sequence[str]):
-        super().__init__()
-        self.points = points
-
-    def __missing__(self, bits: int) -> tuple[str, ...]:
-        labels = self[bits] = _labels(self.points, bits)
-        return labels
-
-
 def _checked_points(points: Iterable[str]) -> tuple[str, ...]:
     points = tuple(points)
     if not points:
@@ -340,25 +325,7 @@ class FiniteSpace:
             out |= 1 << self.index(label)
         return out
 
-    @cached_property
-    def _label_tables(self) -> tuple["_BlockLabels", ...]:
-        return tuple([_BlockLabels(self.points[k:k + 6]) for k in range(0, self.n, 6)])
-
-    def label_lists(self, masks: Sequence[int]) -> list[list[str]]:
-        """The labels of each mask, lowest bit first, as new lists: one
-        table lookup per block of six points, in tables of _labels kept with
-        the space."""
-        tables = self._label_tables
-        rows = [[*tables[0][m & 63]] for m in masks]
-        for k in range(1, len(tables)):
-            table, shift = tables[k], 6 * k
-            for row, m in zip(rows, masks):
-                row += table[m >> shift & 63]
-        return rows
-
     def labels_of(self, mask: int) -> tuple[str, ...]:
-        # one mask needs no tables, which a space labelled once (the base of
-        # each hyperspace verify builds) would pay to build
         return _labels(self.points, mask)
 
     def render_subset(self, mask: int) -> str:

@@ -1,5 +1,6 @@
 """The space DSL, exporters, seeded generation, the verify runner, and the CLI."""
 
+import itertools
 import json
 import os
 import re
@@ -36,7 +37,14 @@ from topolab import (
     zoo_space,
 )
 from topolab.caps import Caps
-from topolab.cli_io import _dump_json, build_parser, main, suite_product_theorems, to_jsonable
+from topolab.cli_io import (
+    MaskLists,
+    _dump_json,
+    build_parser,
+    main,
+    suite_product_theorems,
+    to_jsonable,
+)
 from topolab.symbolic import SymbolicVariant
 
 
@@ -141,6 +149,44 @@ def test_render_topology_form_normalizes():
     assert parse(render(space)) == space
 
 
+# one token of a document line: no whitespace; no '#' (a comment) and, in a
+# label, no '<' (which splits an order line)
+_dsl_chars = st.characters(exclude_categories=("Cs",)).filter(lambda c: not c.isspace())
+_dsl_labels = st.text(_dsl_chars.filter(lambda c: c not in "#<"), min_size=1, max_size=4)
+
+
+@st.composite
+def _labelled_orders(draw):
+    labels = draw(st.lists(_dsl_labels, min_size=1, max_size=6, unique=True))
+    pairs = [(labels[i], labels[j]) for i, j in itertools.combinations(range(len(labels)), 2)
+             if draw(st.booleans())]
+    name = draw(st.one_of(st.text(_dsl_chars.filter(lambda c: c != "#"), max_size=4),
+                          st.text(max_size=4)))
+    return from_poset(labels, pairs).renamed(name)
+
+
+@given(_labelled_orders())
+@settings(max_examples=100, deadline=None)
+def test_render_round_trips_every_label_a_document_can_hold(x):
+    back = parse(render(x))
+    assert back == x and back.points == x.points
+    writable = x.name and not any(c.isspace() or c == "#" for c in x.name)
+    assert back.name == (x.name if writable else "space")
+
+
+def test_render_refuses_labels_a_document_cannot_hold():
+    for points, pairs, bad in ((["a<b", "c"], [("a<b", "c")], "a<b"),
+                               (["c", "a#b"], [], "a#b"),
+                               (["c", "a b", "d\te"], [], "a b")):
+        with pytest.raises(ValidationError, match=re.escape(repr(bad))):
+            render(from_poset(points, pairs))
+    # a name a document cannot hold is written as `space`, or as the variant
+    for name in ("x#y", "x y", "x\ty", ""):
+        assert render(from_poset(["a"], []).renamed(name)) == "space space\npoints a\n"
+    assert render(SymbolicSpace(SymbolicVariant.COFINITE, name="my#w")) == \
+        "space cofinite\nsymbolic cofinite\n"
+
+
 # ---------------------------------------------------------------------------
 # seeded randomness
 
@@ -222,8 +268,8 @@ _json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), 
 _string_lists = st.one_of(st.lists(_json_strings, max_size=4),
                           st.lists(_json_strings, max_size=4).map(tuple))
 _json_values = st.recursive(_json_scalars, lambda children: st.one_of(
-    st.lists(_json_strings),  # the writer's one-join path
-    st.lists(_string_lists, max_size=4),  # its one-comprehension path, empty lists included
+    st.lists(_json_strings),
+    st.lists(_string_lists, max_size=4),  # lists of string lists, empty lists included
     st.lists(st.one_of(_string_lists, children), max_size=4),  # among other values
     st.lists(st.lists(st.one_of(_json_strings, children), max_size=3), max_size=3),
     st.lists(children),
@@ -250,26 +296,84 @@ def test_json_writer_matches_the_stdlib(value):
     assert _dump_json(value) == _stdlib_json(value)
 
 
+_ODD_LABELS = ['q"', "b\\", "é", "☃", "𝒳", "tab\t", "/", "\u2028"]
+
+
+def _odd_labels(n: int) -> list[str]:
+    """n labels, the first ones of which JSON escapes."""
+    return [_ODD_LABELS[i] if i < len(_ODD_LABELS) else f"p{i}" for i in range(n)]
+
+
+def _label_lists(labels, masks) -> list[list[str]]:
+    return [[p for i, p in enumerate(labels) if m >> i & 1] for m in masks]
+
+
+@st.composite
+def _mask_documents(draw):
+    """A document of one to three MaskLists leaves, on carriers of one to
+    four label blocks, at depths 1 to 3, and the same document with each
+    leaf written out as plain label lists."""
+    doc, plain = {}, {}
+    for key in "abc"[:draw(st.integers(1, 3))]:
+        n = draw(st.sampled_from((1, 6, 7, 12, 13, 19)))
+        masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+        leaf = MaskLists(from_poset(_odd_labels(n), [], Caps(max_points=19)), tuple(masks))
+        lists = _label_lists(_odd_labels(n), masks)
+        for _ in range(draw(st.integers(0, 2))):
+            leaf, lists = {"in": leaf}, {"in": lists}
+        doc[key], plain[key] = leaf, lists
+    return doc, plain
+
+
+@given(_mask_documents())
+@settings(max_examples=150, deadline=None)
+@example(({"a": MaskLists(from_poset(["x"], []), (0, 1))}, {"a": [[], ["x"]]}))  # the empty open
+@example(({"a": MaskLists(from_poset(["x"], []), ())}, {"a": []}))  # no members
+@example(({"a": MaskLists(from_poset(["x", "y"], []), (3,)),  # one carrier at two depths
+           "b": {"in": MaskLists(from_poset(["x", "y"], []), (1,))}},
+          {"a": [["x", "y"]], "b": {"in": [["x"]]}}))
+def test_mask_lists_are_written_as_the_labels_of_their_set_bits(case):
+    doc, plain = case
+    assert _dump_json(doc) == _stdlib_json(plain)
+
+
+def test_mask_lists_are_not_plain_json():
+    """The stdlib refuses a MaskLists leaf; at the top of a text, _dump_json
+    writes it as at any other depth."""
+    x = from_poset(_odd_labels(13), [], Caps(max_points=13))
+    masks = (0, 1, 1 << 12, (1 << 13) - 1, 0b1000001000001)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        json.dumps(MaskLists(x, masks))
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        json.dumps(to_jsonable(x))
+    assert _dump_json(MaskLists(x, masks)) == _stdlib_json(_label_lists(x.points, masks))
+
+
 def test_json_of_spaces_past_two_label_blocks(monkeypatch):
     """Opens and members on carriers of 13 to 18 points (three label
-    blocks) with labels that JSON escapes: the labels are those of the set
+    blocks) with labels that JSON escapes, at the depths at which `info`,
+    `reflect` and `families` print them: the labels are those of the set
     bits, and the text is the stdlib's."""
     monkeypatch.setenv("TOPOLAB_CAP", "max_points=18")
     from topolab import CategoryTag, irreducible_closed, reflect
 
-    odd = ['q"', "b\\", "é", "☃", "𝒳", "tab\t", "/", "\u2028"]
     for n in (13, 18):
-        labels = [odd[i] if i < len(odd) else f"p{i}" for i in range(n)]
+        labels = _odd_labels(n)
         # disjoint 2- and 3-chains keep the lattice a few thousand opens
         pairs = [(labels[i], labels[i + 1]) for i in range(0, n - 1) if i % 3 != 2]
         x = from_poset(labels, pairs).renamed(f"odd{n}")
-        objs = [x, irreducible_closed(x), reflect(x, CategoryTag.SOBRIETY)]
-        doc = to_jsonable(x)
-        assert doc["opens"] == [[p for i, p in enumerate(labels) if u >> i & 1] for u in x.opens]
-        for obj in objs:
-            text = render_json(obj)
-            assert json.loads(text) == to_jsonable(obj)
-            assert text == _stdlib_json(to_jsonable(obj))
+        fam = irreducible_closed(x)
+        r = reflect(x, CategoryTag.SOBRIETY)
+        texts = [render_json(x), render_json(r),
+                 _dump_json({"families": {"Irr_c": to_jsonable(fam)}})]
+        for text in texts:
+            assert text == _stdlib_json(json.loads(text))
+        info, refl, fams = map(json.loads, texts)
+        assert info["opens"] == _label_lists(labels, x.opens)
+        assert refl["base"] == info
+        assert refl["family"]["members"] == _label_lists(labels, r.family.members)
+        assert refl["space"]["opens"] == _label_lists(r.space.points, r.space.opens)
+        assert fams["families"]["Irr_c"]["members"] == _label_lists(labels, fam.members)
 
 
 def _golden_argvs(spec: str, symbolic: bool) -> list[list[str]]:

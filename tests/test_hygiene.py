@@ -2,7 +2,8 @@
 no private module-level function goes unreferenced, the production path
 does not reach the definitional oracles or list an open lattice, the
 oracles do not lean on a production family, every name the traced
-benchmark run wraps is bound, and indented JSON has one writer."""
+benchmark run wraps is bound, indented JSON has one writer, and the command
+line keeps no cache from one call to the next but its parser."""
 
 import ast
 import importlib
@@ -236,3 +237,17 @@ def test_no_indented_json_dumps(path):
              and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps")
              and any(k.arg == "indent" for k in node.keywords)]
     assert not calls, f"{path.name} calls json.dumps with indent= on lines {calls}"
+
+
+def test_cli_io_caches_nothing_across_calls_but_its_parser():
+    """One process may run the command line on many documents, as the
+    in-process query benchmark does: a module-level functools cache in
+    cli_io would carry work from one call into the next.  The parser, which
+    no document changes, is the one thing it keeps."""
+    tree = ast.parse((PACKAGE / "cli_io.py").read_text(encoding="utf-8"))
+    uses = [node.lineno for node in ast.walk(tree)
+            if getattr(node, "id", getattr(node, "attr", None)) in ("cache", "lru_cache")]
+    parser = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "build_parser")
+    assert uses == [d.lineno for d in parser.decorator_list], \
+        f"cli_io uses functools caches on lines {uses}"
