@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .caps import Caps, default_caps
 from .core_space import (
@@ -285,33 +285,35 @@ def parse(text: str) -> Space:
 
 
 def _scan_opens(rest: str, lineno: int, bits: dict[str, int]) -> tuple[list[int], Optional[str]]:
-    """The masks of the brace groups of one opens line, in one pass over its
-    tokens, and its first label that is not in `bits` (None if there is
-    none).  A malformed brace group raises at once; an unknown label is
-    only reported, since the errors of later lines come first."""
+    """The masks of the brace groups of one opens line, read one group per
+    '}', and its first label that is not in `bits` (None if there is none).
+    A malformed brace group raises at once, the first in the line first; an
+    unknown label is only reported, since the errors of later lines come
+    first."""
     masks = []
-    mask = None  # the group being read, or None between groups
     unknown = None
-    for token in rest.replace("{", " { ").replace("}", " } ").split():
-        if token == "{":
-            if mask is not None:
-                raise DslError("nested brace group", lineno)
-            mask = 0
-        elif token == "}":
-            if mask is None:
-                raise DslError("unbalanced '}'", lineno)
-            masks.append(mask)
-            mask = None
-        elif mask is None:
-            raise DslError(f"label {token!r} outside braces", lineno)
-        else:
-            bit = bits.get(token)
+    *groups, last = rest.split("}")
+    for chunk in groups:
+        outside, brace, body = chunk.partition("{")
+        if outside.split():
+            raise DslError(f"label {outside.split()[0]!r} outside braces", lineno)
+        if not brace:
+            raise DslError("unbalanced '}'", lineno)
+        if "{" in body:
+            raise DslError("nested brace group", lineno)
+        mask = 0
+        for label in body.split():
+            bit = bits.get(label)
             if bit is not None:
                 mask |= bit
             elif unknown is None:
-                unknown = token
-    if mask is not None:
-        raise DslError("unbalanced '{'", lineno)
+                unknown = label
+        masks.append(mask)
+    outside, brace, body = last.partition("{")
+    if outside.split():
+        raise DslError(f"label {outside.split()[0]!r} outside braces", lineno)
+    if brace:
+        raise DslError("nested brace group" if "{" in body else "unbalanced '{'", lineno)
     return masks, unknown
 
 
@@ -1074,13 +1076,16 @@ def _load_space(spec: str) -> Space:
     return parse(text)
 
 
-def _emit(args, obj, plain: str) -> None:
+def _emit(args, obj, plain: Callable[[], str]) -> None:
+    """Print `obj` as JSON, as DOT, or as the text `plain()`, which is built
+    only for plain output."""
     if getattr(args, "json", False):
         print(render_json(obj))
     elif getattr(args, "dot", False):
         print(render_dot(obj), end="")
     else:
-        print(plain, end="" if plain.endswith("\n") else "\n")
+        text = plain()
+        print(text, end="" if text.endswith("\n") else "\n")
 
 
 def _space_summary(space: Space) -> str:
@@ -1104,7 +1109,7 @@ def _space_summary(space: Space) -> str:
 
 def _cmd_info(args, caps: Caps) -> int:
     space = _load_space(args.space)
-    _emit(args, space, _space_summary(space))
+    _emit(args, space, lambda: _space_summary(space))
     return 0
 
 
@@ -1157,18 +1162,22 @@ def _cmd_reflect(args, caps: Caps) -> int:
     c = _CATEGORY_FLAGS[args.category]
     if isinstance(space, SymbolicSpace):
         r = sym_reflect(space, c)
-        plain = (f"{c.value}-reflection of {space.name or space.variant.value}: "
-                 f"{r.space.variant.value}"
-                 + (f" (adjoined: {', '.join(r.added_points)})" if r.added_points else
-                    " (the space itself)"))
-        _emit(args, r, plain)
+        _emit(args, r, lambda: (
+            f"{c.value}-reflection of {space.name or space.variant.value}: "
+            f"{r.space.variant.value}"
+            + (f" (adjoined: {', '.join(r.added_points)})" if r.added_points else
+               " (the space itself)")))
         return 0
     r = reflect(space, c)
-    lines = [f"{c.value}-reflection of {space.name or '?'}: "
-             f"{r.space.n} points, {r.space.open_count} opens"]
-    for p in space.points:
-        lines.append(f"  eta({p}) = {r.embedding(p)}")
-    _emit(args, r, "\n".join(lines))
+
+    def plain() -> str:
+        lines = [f"{c.value}-reflection of {space.name or '?'}: "
+                 f"{r.space.n} points, {r.space.open_count} opens"]
+        for p in space.points:
+            lines.append(f"  eta({p}) = {r.embedding(p)}")
+        return "\n".join(lines)
+
+    _emit(args, r, plain)
     return 0
 
 
@@ -1178,7 +1187,7 @@ def _cmd_product(args, caps: Caps) -> int:
         raise ValidationError("the product command takes finite spaces; "
                               "symbolic products are covered by `check`")
     p = product(spaces, caps)
-    _emit(args, p, _space_summary(p))
+    _emit(args, p, lambda: _space_summary(p))
     return 0
 
 
@@ -1224,7 +1233,7 @@ def _cmd_zoo(args, caps: Caps) -> int:
     if getattr(args, "render", False):
         print(render(space), end="")
         return 0
-    _emit(args, space, _space_summary(space))
+    _emit(args, space, lambda: _space_summary(space))
     return 0
 
 

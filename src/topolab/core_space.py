@@ -9,11 +9,14 @@ after construction; validation is eager and names the violated axiom.
 A finite topology is automatically Alexandrov: each point has a least open
 neighbourhood (the finite intersection of its neighbourhoods), so the opens
 of a valid space are exactly the upper sets of its specialization order.
-Validation exploits this: a family containing the empty set and the carrier
-is closed under union and intersection iff it equals the upper-set family
-of the preorder it induces.  A space is therefore stored as its order rows;
-its open lattice, which can be exponentially larger, is listed only when
-asked for.
+Validation exploits this.  In canonical order the first open that holds a
+point is its least open if the family is a topology, so those opens are
+taken as the order rows, and the family is accepted by one set comparison
+with the upper sets of the rows (any such family of upper sets is a T0
+topology).  Only a refused family has its order derived from every open,
+to name the axiom it violates.  A space is therefore stored as its order
+rows; its open lattice, which can be exponentially larger, is listed only
+when asked for.
 """
 
 from __future__ import annotations
@@ -45,7 +48,9 @@ def mask_key(mask: int) -> tuple[int, int]:
 
 
 def canonical_masks(masks: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(set(masks), key=mask_key))
+    """The distinct masks in mask_key order: a stable sort by popcount of
+    the masks sorted by value (two C sorts, no Python key)."""
+    return tuple(sorted(sorted(set(masks)), key=int.bit_count))
 
 
 def compress_mask(mask: int, positions: Sequence[int]) -> int:
@@ -130,7 +135,17 @@ class FiniteSpace:
     name: str = field(default="", compare=False)
 
     def __init__(self, points: Iterable[str], opens: Iterable[int], name: str = ""):
-        """Validate an open-set family, which becomes the `opens` view."""
+        """Validate an open-set family, which becomes the `opens` view.
+
+        Row i is the first open, in canonical order, that holds i; in a
+        topology that is the least open holding i.  The family is accepted
+        iff it equals the set of upper sets of the rows: one set comparison.
+        _upper_sets puts a point in a set only with the rest of its row,
+        decided before it, so its sets are closed under union and
+        intersection and are the upper sets of an order: an accepted family
+        is a T0 topology and the rows are its order.  Only a refused family
+        has its order derived from every open (through the transpose), to
+        name the axiom it violates."""
         points = _checked_points(points)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "name", name)
@@ -146,6 +161,20 @@ class FiniteSpace:
         if full not in opens_set:
             raise ValidationError("the full carrier is not open")
 
+        rows = [0] * n
+        seen = 0
+        for u in opens:
+            for i in bit_indices(u & ~seen):
+                rows[i] = u
+            seen |= u
+            if seen == full:
+                break
+        ups = _upper_sets(rows, limit=len(opens))
+        if ups is not None and frozenset(ups) == opens_set:
+            object.__setattr__(self, "up_masks", tuple(rows))
+            self.__dict__["opens"] = opens
+            return
+
         # j is above i iff every open that holds i also holds j
         holders = _transpose(opens)  # point -> the opens that hold it
         up = [sum(1 << j for j, other in enumerate(holders) if mine & other == mine)
@@ -158,15 +187,15 @@ class FiniteSpace:
                     "opens are not closed under intersection: "
                     f"{self.render_subset(m)} is missing"
                 )
-        if _upper_sets(up, limit=len(opens)) is None:
-            # every upper set is a union of rows, so some open | row is missing
-            missing = next(a | r for a in opens for r in up if a | r not in opens_set)
-            raise ValidationError(
-                "opens are not closed under union: "
-                f"{self.render_subset(missing)} is missing"
-            )
-        object.__setattr__(self, "up_masks", tuple(up))
-        self.__dict__["opens"] = opens
+        # Each row of `up` is open, so it is the least open holding its
+        # point: `up` is the order of the rows taken above, and the family, a
+        # set of its upper sets, lacks one of them.  Every upper set is a
+        # union of rows, so some open | row is missing.
+        missing = next(a | r for a in opens for r in up if a | r not in opens_set)
+        raise ValidationError(
+            "opens are not closed under union: "
+            f"{self.render_subset(missing)} is missing"
+        )
 
     @classmethod
     def _of_order(cls, points: Sequence[str], up_rows: Sequence[int],

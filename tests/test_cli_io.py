@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,6 +37,7 @@ from topolab import (
     zoo,
     zoo_space,
 )
+from topolab import cli_io
 from topolab.caps import Caps
 from topolab.cli_io import (
     MaskLists,
@@ -111,6 +113,89 @@ def test_parse_opens_lines_before_the_points_line():
     with pytest.raises(DslError) as err:
         parse("space x\npoints 0 1\nopens {} {zz} {0 1}\nopens {1\n")
     assert err.value.line == 4 and "unbalanced '{'" in str(err.value)
+
+
+def test_each_malformed_opens_line_names_its_fault_and_line():
+    for text, fault, line in (
+            ("space s\npoints a b\nopens {} {a {b}} {a b}\n", "nested brace group", 3),
+            ("space s\npoints a b\n\nopens {} {a} } {a b}\n", "unbalanced '}'", 4),
+            ("space s\npoints a b\nopens {} x {a b}\n", "label 'x' outside braces", 3),
+            ("space s\npoints a b\nopens {}\nopens {a b} {b\n", "unbalanced '{'", 4),
+            # the first fault in the line is named, and a line before the
+            # points line is read as it is met
+            ("space s\nopens {a} x {\npoints a b\n", "label 'x' outside braces", 2),
+            ("space s\nopens {} {a} {b\nopens }\npoints a b\n", "unbalanced '{'", 2)):
+        with pytest.raises(DslError) as err:
+            parse(text)
+        assert (str(err.value), err.value.line) == (f"line {line}: {fault}", line)
+
+
+def token_scan_opens(rest, lineno, bits):
+    """A copy of the opens scanner that read one token at a time, kept as
+    the reference for the scanner that reads one brace group per '}'."""
+    masks = []
+    mask = None  # the group being read, or None between groups
+    unknown = None
+    for token in rest.replace("{", " { ").replace("}", " } ").split():
+        if token == "{":
+            if mask is not None:
+                raise DslError("nested brace group", lineno)
+            mask = 0
+        elif token == "}":
+            if mask is None:
+                raise DslError("unbalanced '}'", lineno)
+            masks.append(mask)
+            mask = None
+        elif mask is None:
+            raise DslError(f"label {token!r} outside braces", lineno)
+        else:
+            bit = bits.get(token)
+            if bit is not None:
+                mask |= bit
+            elif unknown is None:
+                unknown = token
+    if mask is not None:
+        raise DslError("unbalanced '{'", lineno)
+    return masks, unknown
+
+
+def _scan_outcome(scan, *args):
+    try:
+        return scan(*args)
+    except (DslError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# the pieces of an opens line: braces, the points a b c, unknown labels, blanks
+_opens_pieces = st.sampled_from(["{", "}", "a", "b", "c", "zz", "q", " ", "\t", "  "])
+_opens_groups = st.lists(st.sampled_from(["a", "b", "c", "zz"]), max_size=4).map(
+    lambda labels: "{" + " ".join(labels) + "}")
+_opens_lines = st.one_of(
+    st.lists(_opens_pieces, max_size=14).map("".join),
+    st.lists(st.one_of(_opens_groups, _opens_groups, _opens_pieces), max_size=8).map(" ".join),
+    st.lists(_opens_groups, max_size=8).map(" ".join),
+    st.just("{} {a b c}"))
+
+
+@given(st.lists(_opens_lines, max_size=3), st.lists(_opens_lines, max_size=3))
+@example(["{} {c}"], ["{b c} {a b c}"])
+@example(["{} {zz} {a b c}"], ["{a} q {"])
+@settings(max_examples=300, deadline=None)
+def test_opens_scanner_matches_the_token_scanner(before, after):
+    """Each line, scanned with and without the points known, and the whole
+    document, with the opens lines before and after the points line, read
+    the same as under the token scanner: the same masks and unknown label,
+    or the same error and line."""
+    bits = {"a": 1, "b": 2, "c": 4}
+    for lineno, rest in enumerate(before + after, start=2):
+        for known in ({}, bits):
+            assert _scan_outcome(cli_io._scan_opens, rest, lineno, known) == \
+                _scan_outcome(token_scan_opens, rest, lineno, known)
+    text = "".join(["space s\n"] + [f"opens {r}\n" for r in before] + ["points a b c\n"]
+                   + [f"opens {r}\n" for r in after])
+    got = _scan_outcome(parse, text)
+    with mock.patch.object(cli_io, "_scan_opens", token_scan_opens):
+        assert got == _scan_outcome(parse, text)
 
 
 def test_unknown_label_is_the_first_in_document_order(tmp_path):
@@ -616,6 +701,30 @@ def test_cli_wide_spaces_list_no_lattice_they_do_not_print(tmp_path, monkeypatch
     for argv in (["info"], ["reflect", "--category", "wf"]):
         assert main([argv[0], str(antichain), "--json"] + argv[1:]) == 3, argv
         assert "exceeds max_opens 131072" in capsys.readouterr().err
+
+
+def test_machine_output_builds_no_plain_text(monkeypatch, capsys):
+    """--json and --dot print no summary, so they count no opens, and --json
+    lists no covers (a DOT diagram is drawn from them)."""
+    def refuse(self):
+        raise AssertionError("plain text built for machine output")
+
+    covers = FiniteSpace.covers
+    with monkeypatch.context() as patch:
+        patch.setattr(FiniteSpace, "open_count", property(refuse))
+        patch.setattr(FiniteSpace, "covers", refuse)
+        for argv in (["info", "zoo:vee"], ["reflect", "zoo:vee", "--category", "wf"],
+                     ["product", "zoo:vee", "zoo:sierpinski"], ["zoo", "diamond"]):
+            assert main(argv + ["--json"]) == 0, argv
+        patch.setattr(FiniteSpace, "covers", covers)
+        assert main(["reflect", "zoo:vee", "--category", "wf", "--dot"]) == 0
+        capsys.readouterr()
+        with pytest.raises(AssertionError, match="plain text"):
+            main(["info", "zoo:vee"])
+    assert main(["info", "zoo:vee"]) == 0
+    assert "3 points, 5 opens, 5 closed sets" in capsys.readouterr().out
+    assert main(["reflect", "zoo:vee", "--category", "wf"]) == 0
+    assert "wf-reflection of vee: 3 points, 5 opens" in capsys.readouterr().out
 
 
 def test_cli_builds_its_parser_once(capsys):

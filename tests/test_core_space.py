@@ -40,6 +40,7 @@ from topolab.core_space import (
     bit_indices,
     canonical_masks,
     compress_mask,
+    mask_key,
 )
 
 
@@ -249,8 +250,8 @@ def test_space_validation_names_axioms():
 
 def per_bit_validation(points, opens):
     """A copy of the validation that derived the up-rows by walking the
-    bits of every open, kept as the reference for the transposed
-    derivation: the up-rows of a valid family, or the first error."""
+    bits of every open, kept as the reference for validation by least-open
+    rows: the up-rows of a valid family, or the first error."""
     n = len(points)
     full = (1 << n) - 1
     opens = canonical_masks(opens)
@@ -287,18 +288,44 @@ def _outcome(build, points, opens):
 
 
 @st.composite
+def wide_orders(draw):
+    """Orders on 7 to 12 points whose pairs i < j are edges with probability
+    1/8, the antichain among them: lattices of up to 4,096 opens, far wider
+    than those of random_space's p = 1/2 orders."""
+    n = draw(st.integers(7, 12))
+    labels = [f"p{i}" for i in range(n)]
+    pairs = [(labels[i], labels[j]) for i, j in itertools.combinations(range(n), 2)
+             if draw(st.integers(0, 7)) == 7]
+    return from_poset(labels, pairs)
+
+
+@st.composite
 def open_families(draw):
     """Families on 1 to 20 points (up to three bytes an open): the opens of
-    an order, with sets dropped and sets added, or arbitrary sets, with and
+    an order, with sets dropped and sets added or with one open swapped for
+    a non-open (so that the count stays), or arbitrary sets, with and
     without the empty set and the carrier; most are invalid in one of the
     ways validation names."""
     n = draw(st.integers(1, 20))
     full = (1 << n) - 1
     if draw(st.booleans()):
         seed = draw(st.integers(0, 2**64 - 1))
-        x = draw(orders()) if n <= 6 else random_space(seed, n, Caps(max_points=20))
+        if n <= 6:
+            x = draw(orders())
+        elif draw(st.booleans()):
+            x = draw(wide_orders())
+        else:
+            x = random_space(seed, n, Caps(max_points=20))
         n, full = x.n, x.full_mask
         opens = set(x.opens)
+        inner = sorted(opens - {0, full})
+        if inner and draw(st.booleans()):
+            m = draw(st.integers(0, full))
+            new = next((c for c in [m] + [m ^ 1 << k for k in range(n)] if c not in opens), None)
+            if new is not None:
+                opens.remove(draw(st.sampled_from(inner)))
+                opens.add(new)
+                return tuple(f"p{i}" for i in range(n)), sorted(opens)
         opens -= set(draw(st.lists(st.sampled_from(sorted(opens)), max_size=2)))
     else:
         opens = set(draw(st.lists(st.integers(0, full), max_size=40)))
@@ -307,12 +334,31 @@ def open_families(draw):
     return tuple(f"p{i}" for i in range(n)), sorted(opens)
 
 
+_NINE = tuple(f"p{i}" for i in range(9))
+
+
 @given(open_families())
+@example((_NINE, list(range(1 << 9))))  # the antichain
+@example((("a", "b"), [0b00, 0b01, 0b11]))  # {b} swapped for {a} in Sierpinski space: a topology
+# a < b beside c with {b,c} swapped for {a,c}: the rows, and so the count, stay
+@example((("a", "b", "c"), [0b000, 0b010, 0b011, 0b100, 0b101, 0b111]))
 @settings(max_examples=300, deadline=None)
 def test_space_validation_matches_the_per_bit_derivation(family):
     points, opens = family
     got = _outcome(lambda p, o: FiniteSpace(p, o).up_masks, points, opens)
     assert got == _outcome(per_bit_validation, points, opens)
+
+
+_masks = st.one_of(st.integers(0, 255), st.integers(0, (1 << 200) - 1))
+
+
+@given(st.lists(_masks, min_size=1, max_size=30).flatmap(
+    lambda base: st.lists(st.sampled_from(base), max_size=60)))
+@settings(max_examples=200, deadline=None)
+def test_canonical_masks_sort_by_the_mask_key(masks):
+    """Repeats collapse and ties of popcount fall to the value, as under
+    mask_key, the key that callers outside core_space sort by."""
+    assert canonical_masks(masks) == tuple(sorted(set(masks), key=mask_key))
 
 
 @given(st.integers(1, 20).flatmap(lambda n: st.tuples(
