@@ -447,7 +447,8 @@ def _dump_json(value, indent: str = "\n", tables: Optional[dict] = None) -> str:
     written as its label lists.  The stdlib leaves its C encoder whenever
     `indent` is set; here every string goes through the C string encoder.
     `indent` is the newline and indentation that precede the value's
-    closing bracket; `tables` keeps the label tables of this one text."""
+    closing bracket; `tables` keeps the label tables and the written leaves
+    of this one text."""
     if isinstance(value, str):
         return encode_basestring(value)
     if tables is None:
@@ -465,7 +466,12 @@ def _dump_json(value, indent: str = "\n", tables: Optional[dict] = None) -> str:
         return "[" + inner + ("," + inner).join([_dump_json(v, inner, tables) for v in value]) \
             + indent + "]"
     if isinstance(value, MaskLists):
-        return _dump_mask_lists(value, indent, tables)
+        # the families of `families --json` are one list of point closures
+        key = (value.space.points, indent, tuple(value.masks))
+        text = tables.get(key)
+        if text is None:
+            text = tables[key] = _dump_mask_lists(value, indent, tables)
+        return text
     return json.dumps(value)
 
 
@@ -1147,8 +1153,12 @@ def _cmd_families(args, caps: Caps) -> int:
             "families": {k: to_jsonable(v) for k, v in fams.items()},
         }))
     else:
+        texts: dict[tuple[int, ...], str] = {}  # the seven share one member list
         for label, fam in fams.items():
-            rendered = " ".join(space.render_subset(m) for m in fam.members)
+            rendered = texts.get(fam.members)
+            if rendered is None:
+                rendered = texts[fam.members] = " ".join(
+                    space.render_subset(m) for m in fam.members)
             print(f"{label:<7} {rendered}")
     return 0
 
@@ -1311,6 +1321,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cmd.add_argument("--mutate", action="store_true",
                             help="invert one predicate as a harness self-test")
     verify_cmd.add_argument("--json", action="store_true")
+    parser.commands = sub.choices  # the subcommand parsers by name, for main
     return parser
 
 
@@ -1325,9 +1336,25 @@ _COMMANDS = {
 }
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+    """build_parser().parse_args(argv).  When argv[0] names a command, the
+    top-level parser would only hand the rest to that command's parser and
+    report what it leaves over, so argv[1:] goes to it directly; anything
+    else (no arguments, -h, an unknown command) takes the top-level path."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parse_args(argv)
     try:
         code = _COMMANDS[args.command](args, default_caps())
         sys.stdout.flush()  # a closed standard output fails here, not at exit

@@ -417,6 +417,9 @@ def _mask_documents(draw):
 @example(({"a": MaskLists(from_poset(["x", "y"], []), (3,)),  # one carrier at two depths
            "b": {"in": MaskLists(from_poset(["x", "y"], []), (1,))}},
           {"a": [["x", "y"]], "b": {"in": [["x"]]}}))
+@example(({"a": MaskLists(from_poset(["x", "y"], []), (1, 3)),  # one list at two depths
+           "b": {"in": MaskLists(from_poset(["x", "y"], []), (1, 3))}},
+          {"a": [["x"], ["x", "y"]], "b": {"in": [["x"], ["x", "y"]]}}))
 def test_mask_lists_are_written_as_the_labels_of_their_set_bits(case):
     doc, plain = case
     assert _dump_json(doc) == _stdlib_json(plain)
@@ -736,6 +739,64 @@ def test_cli_builds_its_parser_once(capsys):
     capsys.readouterr()
     assert main(["info", "zoo:vee", "--json"]) == 0
     assert capsys.readouterr().out == first
+
+
+def _cli_outcome(capsys, argv) -> tuple:
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--he"], ["info", "-h"], ["infoo", "zoo:vee"], ["-x", "info", "zoo:vee"],
+    ["info", "zoo:vee", "--bogus"], ["info", "zoo:vee", "--js"],
+    ["reflect", "zoo:vee", "--category=wf"], ["reflect", "--category", "sob", "--json", "zoo:vee"],
+    ["info", "--", "zoo:vee"], ["--", "info", "zoo:vee"], ["families", "zoo:vee", "--", "--json"],
+    ["reflect", "zoo:vee"], ["reflect", "zoo:vee", "--category", "x"], ["info", "zoo:vee", "extra"],
+    ["verify", "--samples", "x"], ["zoo", "vee", "--r"], ["check", "--property=sober", "zoo:vee"],
+])
+def test_cli_dispatch_parses_like_the_top_level_parser(argv, monkeypatch, capsys):
+    """main hands the arguments after a command name to that command's
+    parser; the parsed arguments, the exit code, the output and the error
+    text are those of build_parser().parse_args."""
+    dispatched = _cli_outcome(capsys, argv)
+    try:
+        args = cli_io._parse_args(argv)
+    except SystemExit:  # help or a usage error: its output is compared below
+        capsys.readouterr()
+    else:
+        assert args == build_parser().parse_args(argv)
+    monkeypatch.setattr(cli_io, "_parse_args", lambda argv: build_parser().parse_args(argv))
+    assert dispatched == _cli_outcome(capsys, argv)
+
+
+def test_families_renders_its_member_list_once_per_answer(monkeypatch, capsys):
+    """The seven finite families are one list of point closures: plain
+    output renders each member once, --json writes the list once, and
+    neither keeps anything for the next call."""
+    space = zoo_space("diamond")
+    rendered = []
+    render_subset = FiniteSpace.render_subset
+    monkeypatch.setattr(FiniteSpace, "render_subset",
+                        lambda self, mask: rendered.append(mask) or render_subset(self, mask))
+    passes = []
+    dump_mask_lists = cli_io._dump_mask_lists
+    monkeypatch.setattr(cli_io, "_dump_mask_lists",
+                        lambda *args: passes.append(args[0]) or dump_mask_lists(*args))
+    for _ in range(2):
+        rendered.clear()
+        assert main(["families", "zoo:diamond"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sorted(rendered) == sorted(space.down_masks)
+        assert len(lines) == 7 and len({line[8:] for line in lines}) == 1
+        passes.clear()
+        assert main(["families", "zoo:diamond", "--json"]) == 0
+        families = json.loads(capsys.readouterr().out)["families"]
+        assert len(passes) == 1 and len(families) == 7
+        assert len({json.dumps(f["members"]) for f in families.values()}) == 1
 
 
 def _python_m_topolab_env() -> dict[str, str]:
