@@ -239,6 +239,10 @@ def parse(text: str) -> Space:
             if len(tokens) < 2:
                 raise DslError("points line needs at least one label", lineno)
             points = tuple(tokens[1:])
+            if "{" in line or "}" in line:
+                braced = next(p for p in points if "{" in p or "}" in p)
+                raise DslError(f"point label {braced!r} holds a brace, "
+                               "which no opens group can name", lineno)
             bits = {p: 1 << i for i, p in enumerate(points)}
             continue
         if head == "order":
@@ -324,10 +328,10 @@ def render(space: Space) -> str:
     if isinstance(space, SymbolicSpace):
         name = space.name if _is_token(space.name, "#") else space.variant.value
         return f"space {name}\nsymbolic {space.variant.value}\n"
-    bad = next((p for p in space.points if not _is_token(p, "#<")), None)
+    bad = next((p for p in space.points if not _is_token(p, "#<{}")), None)
     if bad is not None:
         raise ValidationError(f"point label {bad!r} cannot be written in a space document, "
-                              f"whose labels hold no whitespace, '#' or '<'")
+                              f"whose labels hold no whitespace, '#', '<' or braces")
     name = space.name if _is_token(space.name, "#") else "space"
     lines = [f"space {name}", "points " + " ".join(space.points)]
     for i, j in space.covers():
@@ -338,7 +342,8 @@ def render(space: Space) -> str:
 def _is_token(text: str, reserved: str) -> bool:
     """Whether parse reads `text` back as one token: it is nonempty and
     holds no whitespace (which splits tokens and lines) and no character of
-    `reserved` ('#' starts a comment, '<' splits an order line)."""
+    `reserved` ('#' starts a comment, '<' splits an order line, braces
+    delimit an opens group)."""
     return bool(text) and not any(c.isspace() or c in reserved for c in text)
 
 

@@ -313,6 +313,12 @@ class FiniteSpace:
     def down_masks(self) -> tuple[int, ...]:
         return _transpose(self.up_masks)
 
+    @cached_property
+    def _down_set(self) -> frozenset[int]:
+        """The point closures as a set: each is closed, since the stored
+        order is transitive, so membership here answers `is_closed`."""
+        return frozenset(self.down_masks)
+
     def covers(self) -> list[tuple[int, int]]:
         """Hasse pairs (i, j) of the specialization order, i < j with nothing
         strictly between, ordered by i and then j.

@@ -62,12 +62,12 @@ def is_irreducible_closed_set(x: FiniteSpace, a: int) -> bool:
     """Closed `a` is irreducible (nonempty, not the union of two proper
     closed subsets) iff it is a point closure: the closures of its maximal
     points cover it, so it has exactly one."""
-    return a in x.down_masks
+    return a in x._down_set
 
 
 def is_irreducible_subset(x: FiniteSpace, a: int) -> bool:
     """A subset is irreducible iff its closure is an irreducible closed set."""
-    return a != 0 and x.closure(a) in x.down_masks
+    return a != 0 and x.closure(a) in x._down_set
 
 
 def irreducible_closed(x: FiniteSpace) -> ClosedFamily:
@@ -83,11 +83,27 @@ def irreducible_closed(x: FiniteSpace) -> ClosedFamily:
 @dataclass(frozen=True)
 class RudinWitness:
     """A filtered family of compact saturated sets together with a closed set
-    certified minimal among the closed sets meeting every member."""
+    certified minimal among the closed sets meeting every member.
+
+    `RudinWitness(...)` validates its input: the family is nonempty,
+    saturated and filtered, and the set is closed, meets every member and
+    is minimal.  Only `rudin_sets` skips these checks, through `_of_point`,
+    for the witnesses it reads off the order by theorem."""
 
     base: FiniteSpace
     filtered: tuple[int, ...]
     minimal_closed: int
+
+    @classmethod
+    def _of_point(cls, x: FiniteSpace, q: int) -> "RudinWitness":
+        """The witness of the closure of point q: the one-member family
+        (up q), the least compact saturated set holding q, and cl{q}, the
+        least closed set meeting it.  Built from the order, so trusted."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "base", x)
+        object.__setattr__(out, "filtered", (x.up_masks[q],))
+        object.__setattr__(out, "minimal_closed", x.down_masks[q])
+        return out
 
     def __post_init__(self):
         x = self.base
@@ -137,12 +153,14 @@ def rudin_sets(x: FiniteSpace) -> RudinSets:
     so RD holds the closed sets minimal among those meeting one nonempty
     upper set k: the closures of the minimal points of k.  RD is thus S_c,
     and the closure of q is witnessed first, in canonical order, by the
-    upper set of q.  `oracles.rudin_sets_by_filtered_enumeration` enumerates
+    upper set of q.  Those witnesses hold by this theorem, so they are built
+    without the checks of `RudinWitness(...)`, which a caller's witness
+    still passes.  `oracles.rudin_sets_by_filtered_enumeration` enumerates
     the filtered families.
     """
     witnesses: dict[int, RudinWitness] = {}
     for q in sorted(range(x.n), key=lambda q: mask_key(x.up_masks[q])):
-        witnesses[x.down_masks[q]] = RudinWitness(x, (x.up_masks[q],), x.down_masks[q])
+        witnesses[x.down_masks[q]] = RudinWitness._of_point(x, q)
     return RudinSets(ClosedFamily(x, tuple(witnesses), label="RD"), witnesses)
 
 

@@ -103,6 +103,20 @@ def test_parse_errors_carry_line_numbers():
     assert err.value.line == 4
 
 
+def test_points_line_refuses_a_label_holding_a_brace():
+    """No opens group can name such a label, so neither body form takes it."""
+    for text, label, line in (("space s\npoints a{ b\nopens {} {b} {a{ b}\n", "a{", 2),
+                              ("space s\npoints b a}\norder b < a}\n", "a}", 2),
+                              ("space s\nopens {}\npoints a {} # {\n", "{}", 3)):
+        with pytest.raises(DslError) as err:
+            parse(text)
+        assert (str(err.value), err.value.line) == (
+            f"line {line}: point label {label!r} holds a brace, "
+            "which no opens group can name", line)
+    # a brace in a comment on the points line is no label
+    assert parse("space s\npoints a b # {a}\norder a < b\n").points == ("a", "b")
+
+
 def test_parse_opens_lines_before_the_points_line():
     space = parse("space x\nopens {} {1}\nopens {0 1}\npoints 0 1\n")
     assert space == parse("space x\npoints 0 1\nopens {} {1} {0 1}\n")
@@ -235,9 +249,10 @@ def test_render_topology_form_normalizes():
 
 
 # one token of a document line: no whitespace; no '#' (a comment) and, in a
-# label, no '<' (which splits an order line)
+# label, no '<' (which splits an order line) and no brace (which delimits an
+# opens group)
 _dsl_chars = st.characters(exclude_categories=("Cs",)).filter(lambda c: not c.isspace())
-_dsl_labels = st.text(_dsl_chars.filter(lambda c: c not in "#<"), min_size=1, max_size=4)
+_dsl_labels = st.text(_dsl_chars.filter(lambda c: c not in "#<{}"), min_size=1, max_size=4)
 
 
 @st.composite
@@ -262,7 +277,9 @@ def test_render_round_trips_every_label_a_document_can_hold(x):
 def test_render_refuses_labels_a_document_cannot_hold():
     for points, pairs, bad in ((["a<b", "c"], [("a<b", "c")], "a<b"),
                                (["c", "a#b"], [], "a#b"),
-                               (["c", "a b", "d\te"], [], "a b")):
+                               (["c", "a b", "d\te"], [], "a b"),
+                               (["b", "a{"], [("b", "a{")], "a{"),
+                               (["}"], [], "}")):
         with pytest.raises(ValidationError, match=re.escape(repr(bad))):
             render(from_poset(points, pairs))
     # a name a document cannot hold is written as `space`, or as the variant

@@ -1,12 +1,18 @@
 """Closed-set family enumeration and the minimal-witness machinery."""
 
 import itertools
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_core_space import wide_orders
+from test_oracles import orders
 
 from topolab import (
     ALL_CATEGORIES,
     CategoryTag,
+    ClosedFamily,
     ContractViolation,
     RudinWitness,
     ValidationError,
@@ -168,6 +174,30 @@ def test_rudin_witness_minimality_matches_the_closed_set_scan():
                         RudinWitness(x, filtered, a)
                     rejected += 1
     assert accepted and rejected
+
+
+@given(st.one_of(orders(), wide_orders()))
+@settings(max_examples=120, deadline=None)
+def test_families_built_by_theorem_pass_the_validating_constructors(x):
+    """Every family read off the order, and every witness `rudin_sets`
+    builds without checks, is accepted by the validating constructor and
+    equals what it builds; a principal upper set that is not closed is
+    refused, whatever the point-closure lookup holds."""
+    rd = rudin_sets(x)
+    built = [point_closures(x), directed_closures(x), irreducible_closed(x), rd.family]
+    built += [k_family(x, c) for c in ALL_CATEGORIES]
+    for fam in built:
+        assert ClosedFamily(x, fam.members) == fam
+        assert all(x.closure(m) == m for m in fam.members)
+    assert set(rd.witnesses) == set(rd.family.members)
+    for a, w in rd.witnesses.items():
+        assert RudinWitness(x, w.filtered, w.minimal_closed) == w
+        assert w.minimal_closed == a
+    for up in x.up_masks:
+        if x.closure(up) != up:
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"family member {x.render_subset(up)} is not closed in the base")):
+                ClosedFamily(x, x.down_masks + (up,))
 
 
 # ---------------------------------------------------------------------------

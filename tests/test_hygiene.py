@@ -2,8 +2,9 @@
 no private module-level function goes unreferenced, the production path
 does not reach the definitional oracles or list an open lattice, the
 oracles do not lean on a production family, every name the traced
-benchmark run wraps is bound, indented JSON has one writer, and the command
-line keeps no cache from one call to the next but its parser."""
+benchmark run wraps is bound, indented JSON has one writer, the command
+line keeps no cache from one call to the next but its parser, and only
+`rudin_sets` builds a Rudin witness without its checks."""
 
 import ast
 import importlib
@@ -251,3 +252,26 @@ def test_cli_io_caches_nothing_across_calls_but_its_parser():
                   if isinstance(node, ast.FunctionDef) and node.name == "build_parser")
     assert uses == [d.lineno for d in parser.decorator_list], \
         f"cli_io uses functools caches on lines {uses}"
+
+
+def test_only_rudin_sets_builds_unchecked_witnesses():
+    """`RudinWitness._of_point` skips the witness checks, which hold for the
+    witnesses `rudin_sets` reads off the order by theorem; a witness from
+    any other caller goes through `RudinWitness(...)` and is validated."""
+    tests = Path(__file__).resolve().parent
+    files = sorted(PACKAGE.glob("*.py")) + sorted(tests.glob("*.py")) + \
+        sorted((PACKAGE.parent.parent / "perfbench").glob("*.py"))
+    users = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where.partition(':')[0]}:{child.name}")
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "_of_point":
+                users.append(where)
+            visit(child, where)
+
+    for path in files:
+        visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.name}:<module>")
+    assert users == ["families.py:rudin_sets"], f"unchecked witnesses built in {users}"

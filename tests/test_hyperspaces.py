@@ -48,6 +48,17 @@ def test_closed_family_validation(sierpinski):
         ClosedFamily(sierpinski, (sierpinski.mask_of("top"),))
 
 
+def test_closed_family_checks_members_that_are_not_point_closures(vee):
+    bottoms = vee.mask_of("a", "b")  # closed, the closure of no point
+    assert bottoms not in vee.down_masks
+    assert ClosedFamily(vee, vee.down_masks + (bottoms,)).members == (
+        vee.mask_of("a"), vee.mask_of("b"), bottoms, vee.full_mask)
+    outside = vee.mask_of("a") | 1 << vee.n
+    with pytest.raises(ValidationError) as err:
+        ClosedFamily(vee, vee.down_masks + (outside,))
+    assert str(err.value) == "family member {a} is not closed in the base"
+
+
 # ---------------------------------------------------------------------------
 # lower Vietoris
 
