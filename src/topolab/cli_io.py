@@ -24,6 +24,8 @@ from .caps import Caps, default_caps
 from .core_space import (
     ContinuousMap,
     FiniteSpace,
+    _check_carrier,
+    _closed_order,
     bit_indices,
     check_continuous,
     from_poset,
@@ -196,15 +198,20 @@ def parse(text: str) -> Space:
     Three bodies are accepted after the ``space NAME`` header: ``points``
     plus ``order a < b`` lines (the order lines form a DAG whose
     reflexive-transitive closure is the order), ``points`` plus ``opens``
-    lines listing brace groups, or ``symbolic VARIANT``.
+    lines listing brace groups, or ``symbolic VARIANT``.  Order lines are
+    read straight into the rows of the order, which are then closed.  Once
+    the body is read, a carrier over `max_points` is refused (in both forms,
+    before any further check), and then the first label of no point, with
+    its line.
     """
     name = None
     points: Optional[tuple[str, ...]] = None
-    order_pairs: list[tuple[str, str]] = []
     bits: dict[str, int] = {}  # label -> its bit, once the points line is read
+    rows: list[int] = []  # row i: bit i and the bits an order line puts over point i
     opens_masks: list[int] = []
     unknown: Optional[tuple[str, int]] = None  # the first label of no point, and its line
     early_opens: list[tuple[int, str]] = []  # opens lines read before the points line
+    early_orders: list[tuple[int, list[str]]] = []  # order lines read before it
     saw_order = False
     saw_opens = False
     symbolic_variant = None
@@ -244,16 +251,21 @@ def parse(text: str) -> Space:
                 raise DslError(f"point label {braced!r} holds a brace, "
                                "which no opens group can name", lineno)
             bits = {p: 1 << i for i, p in enumerate(points)}
+            rows = [1 << i for i in range(len(points))]
             continue
         if head == "order":
             if symbolic_variant is not None or saw_opens:
                 raise DslError("order lines cannot mix with this body", lineno)
             saw_order = True
             chain = [t.strip() for t in line[len("order"):].split("<")]
-            if len(chain) < 2 or any(not t for t in chain):
+            if len(chain) < 2 or "" in chain:
                 raise DslError("expected 'order a < b'", lineno)
-            for a, b in zip(chain, chain[1:]):
-                order_pairs.append((a, b))
+            if points is None:
+                early_orders.append((lineno, chain))  # its labels are read below
+            else:
+                label = _link_order(chain, bits, rows)
+                if unknown is None and label is not None:
+                    unknown = (label, lineno)
             continue
         if head == "opens":
             if symbolic_variant is not None or saw_order:
@@ -276,6 +288,7 @@ def parse(text: str) -> Space:
         return SymbolicSpace(symbolic_variant, name=name)
     if points is None:
         raise DslError("missing points line", 1)
+    _check_carrier(len(points), default_caps())
     if saw_opens:
         for group_line, rest in reversed(early_opens):  # the first lines of the body
             masks, label = _scan_opens(rest, group_line, bits)
@@ -285,7 +298,28 @@ def parse(text: str) -> Space:
         if unknown is not None:
             raise DslError(f"open mentions unknown point {unknown[0]!r}", unknown[1])
         return FiniteSpace(points, opens_masks, name=name)
-    return from_poset(points, order_pairs).renamed(name)
+    for chain_line, chain in reversed(early_orders):  # the first lines of the body
+        label = _link_order(chain, bits, rows)
+        if label is not None:
+            unknown = (label, chain_line)
+    if unknown is not None:
+        raise DslError(f"order mentions unknown element {unknown[0]!r}", unknown[1])
+    return FiniteSpace._of_order(points, _closed_order(points, rows), name)
+
+
+def _link_order(chain: list[str], bits: dict[str, int], rows: list[int]) -> Optional[str]:
+    """Put each label of one order line's chain under the next in `rows`
+    (row i holds the bits over point i), and return the chain's first label
+    that is not in `bits` (None if there is none).  A document with such a
+    label is refused, so what the chain linked before it does not matter."""
+    below = bits.get(chain[0])
+    for label in chain[1:]:
+        above = bits.get(label)
+        if below is None or above is None:
+            return next(t for t in chain if t not in bits)
+        rows[below.bit_length() - 1] |= above
+        below = above
+    return None
 
 
 def _scan_opens(rest: str, lineno: int, bits: dict[str, int]) -> tuple[list[int], Optional[str]]:
@@ -1279,35 +1313,80 @@ def _cmd_verify(args, caps: Caps) -> int:
     return report.exit_code
 
 
+class _ArgvTable:
+    """The grammar of a command on one SPACE whose other arguments are
+    store and store_true options, read from the Action objects that its
+    parser's add_argument returned."""
+
+    def __init__(self, space: argparse.Action, options: Sequence[argparse.Action]):
+        if any(a.type is not None or a.nargs not in (None, 0) for a in options):
+            raise ValueError("an argv table reads only store and store_true options")
+        self.space = space.dest
+        self.options = {s: a for a in options for s in a.option_strings}
+        self.defaults = {a.dest: a.default for a in options}
+        self.required = [a.dest for a in options if a.required]
+
+    def read(self, argv: Sequence[str]) -> Optional[argparse.Namespace]:
+        """The Namespace that build_parser().parse_args(argv) returns, when
+        every token after the command is an exact option string, its value
+        or the SPACE; None when any is not, or when a value starts with '-',
+        falls outside its choices or is missing, or a required option or
+        SPACE is missing (argparse then reads argv and reports)."""
+        values = {"command": argv[0], **self.defaults}
+        space = None
+        tokens = iter(argv[1:])
+        for token in tokens:
+            action = self.options.get(token)
+            if action is None:
+                if space is not None or token.startswith("-"):
+                    return None
+                space = token
+            elif action.nargs == 0:
+                values[action.dest] = action.const
+            else:
+                value = next(tokens, None)
+                if value is None or value.startswith("-") or (
+                        action.choices is not None and value not in action.choices):
+                    return None
+                values[action.dest] = value
+        if space is None or any(values[dest] is None for dest in self.required):
+            return None
+        values[self.space] = space
+        return argparse.Namespace(**values)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built on first use and kept for the process."""
+    """The command line parser, built on first use and kept for the process.
+    It keeps the subcommand parsers by name (`commands`) and the argv tables
+    of the commands on one SPACE (`argv_tables`)."""
     parser = argparse.ArgumentParser(
         prog="topolab",
         description="Finite T0 spaces, hyperspace reflections, and their checkers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.argv_tables = {}
 
-    def add_space_cmd(name, help_text, nargs=None):
+    def add_space_cmd(name, help_text, nargs=None, option=None):
+        """A command on one SPACE (or, with `nargs`, on several) with
+        --json, --dot and the `option` given as (flag, keyword arguments)."""
         cmd = sub.add_parser(name, help=help_text)
-        if nargs:
-            cmd.add_argument("spaces", nargs="+", metavar="SPACE",
-                             help="path to a space document, or zoo:NAME")
-        else:
-            cmd.add_argument("space", metavar="SPACE",
-                             help="path to a space document, or zoo:NAME")
-        cmd.add_argument("--json", action="store_true", help="machine output")
-        cmd.add_argument("--dot", action="store_true", help="DOT diagram output")
-        return cmd
+        space = cmd.add_argument("spaces" if nargs else "space", nargs=nargs, metavar="SPACE",
+                                 help="path to a space document, or zoo:NAME")
+        options = [cmd.add_argument("--json", action="store_true", help="machine output"),
+                   cmd.add_argument("--dot", action="store_true", help="DOT diagram output")]
+        if option is not None:
+            options.append(cmd.add_argument(option[0], **option[1]))
+        if not nargs:
+            parser.argv_tables[name] = _ArgvTable(space, options)
 
     add_space_cmd("info", "summarize a space")
     add_space_cmd("families", "print the canonical closed-set families")
-    reflect_cmd = add_space_cmd("reflect", "build a reflection")
-    reflect_cmd.add_argument("--category", choices=sorted(_CATEGORY_FLAGS),
-                             required=True)
+    add_space_cmd("reflect", "build a reflection",
+                  option=("--category", {"choices": sorted(_CATEGORY_FLAGS), "required": True}))
     add_space_cmd("product", "product of finite spaces", nargs="+")
-    check_cmd = add_space_cmd("check", "evaluate a space property")
-    check_cmd.add_argument("--property", required=True, metavar="NAME")
+    add_space_cmd("check", "evaluate a space property",
+                  option=("--property", {"required": True, "metavar": "NAME"}))
 
     zoo_cmd = sub.add_parser("zoo", help="list or show built-in spaces")
     zoo_cmd.add_argument("name", nargs="?", default="")
@@ -1342,12 +1421,18 @@ _COMMANDS = {
 
 
 def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
-    """build_parser().parse_args(argv).  When argv[0] names a command, the
-    top-level parser would only hand the rest to that command's parser and
-    report what it leaves over, so argv[1:] goes to it directly; anything
-    else (no arguments, -h, an unknown command) takes the top-level path."""
+    """build_parser().parse_args(argv).  A command on one SPACE is read
+    from its argv table when the table can read argv.  Otherwise, when
+    argv[0] names a command, the top-level parser would only hand the rest
+    to that command's parser and report what it leaves over, so argv[1:]
+    goes to it directly; anything else (no arguments, -h, an unknown
+    command) takes the top-level path."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    table = parser.argv_tables.get(argv[0]) if argv else None
+    args = table.read(argv) if table is not None else None
+    if args is not None:
+        return args
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)

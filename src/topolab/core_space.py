@@ -428,10 +428,7 @@ def from_poset(points: Sequence[str], pairs: Iterable[tuple[str, str]],
     first, before the pairs are read or closed."""
     points = tuple(points)
     n = len(points)
-    caps = caps or default_caps()
-    if n > caps.max_points:
-        raise ResourceCapError(f"a poset of {n} elements", "max_points",
-                               caps.max_points, n)
+    _check_carrier(n, caps or default_caps())
     index = {p: i for i, p in enumerate(points)}
     rows = [1 << i for i in range(n)]
     for a, b in pairs:
@@ -439,6 +436,22 @@ def from_poset(points: Sequence[str], pairs: Iterable[tuple[str, str]],
             missing = a if a not in index else b
             raise ValidationError(f"order mentions unknown element {missing!r}")
         rows[index[a]] |= 1 << index[b]
+    return FiniteSpace._of_order(points, _closed_order(points, rows))
+
+
+def _check_carrier(n: int, caps: Caps) -> None:
+    """Refuse a poset of `n` elements over the carrier cap `max_points`."""
+    if n > caps.max_points:
+        raise ResourceCapError(f"a poset of {n} elements", "max_points",
+                               caps.max_points, n)
+
+
+def _closed_order(points: Sequence[str], rows: list[int]) -> list[int]:
+    """The reflexive-transitive closure of the relation whose row i holds
+    bit i and the bits of the points over point i, by Warshall's algorithm;
+    a relation whose closure is no partial order (it has a cycle) is
+    refused with the first two points on the cycle."""
+    n = len(rows)
     # after step k, every row holds what it reaches through intermediates up to k
     for k in range(n):
         row_k = rows[k]
@@ -452,7 +465,7 @@ def from_poset(points: Sequence[str], pairs: Iterable[tuple[str, str]],
         raise ValidationError(
             f"order contains a cycle through {points[i]!r} and {points[j]!r}"
         )
-    return FiniteSpace._of_order(points, rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------

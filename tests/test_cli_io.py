@@ -1,5 +1,8 @@
 """The space DSL, exporters, seeded generation, the verify runner, and the CLI."""
 
+import argparse
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -236,11 +239,57 @@ def topology_text(space):
     return f"space t\npoints {' '.join(space.points)}\nopens {groups}\n"
 
 
-@given(orders())
-@settings(max_examples=40, deadline=None)
-def test_parse_render_round_trip_on_orders(x):
+@st.composite
+def _order_documents(draw):
+    """An order x, and an order-form document of a relation on its points
+    with the relation's pairs: every cover of x, some pairs that others
+    imply (reflexive ones too), and at times a few pairs at random, which
+    may close a cycle.  The pairs come shuffled; a pair that starts where
+    the last line ends may extend it into a chain such as `a < b < c`.
+    The points line may come after order lines, among comments."""
+    x = draw(orders())
+    points = x.points
+    implied = [(points[i], points[j]) for i in range(x.n) for j in range(x.n) if x.leq(i, j)]
+    pairs = [(points[i], points[j]) for i, j in x.covers()]
+    pairs += draw(st.lists(st.sampled_from(implied), max_size=4))
+    pairs += draw(st.lists(st.tuples(st.sampled_from(points), st.sampled_from(points)),
+                           max_size=draw(st.sampled_from((0, 2)))))
+    pairs = draw(st.permutations(pairs))
+    chains = []
+    for a, b in pairs:
+        if chains and chains[-1][-1] == a and draw(st.booleans()):
+            chains[-1].append(b)
+        else:
+            chains.append([a, b])
+    lines = [f"order {' < '.join(chain)}" + draw(st.sampled_from(("", "  # a < b")))
+             for chain in chains]
+    lines.insert(draw(st.integers(0, len(lines))), "points " + " ".join(points))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", "# x < y"))))
+    name = draw(st.sampled_from(("o", "poset")))
+    return x, "\n".join([f"space {name}", *lines]) + "\n", pairs, name
+
+
+def _built(build) -> tuple:
+    """The space that build() returns with its labels and name, or the
+    type and message of the ValidationError it raises."""
+    try:
+        space = build()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return space, space.points, space.name
+
+
+@given(_order_documents())
+@settings(max_examples=80, deadline=None)
+def test_parse_render_round_trip_on_orders(case):
+    """Order lines are read straight into the rows of the order: every
+    document gives the space, or the cycle message, of from_poset."""
+    x, text, pairs, name = case
     assert parse(render(x)) == x
     assert parse(topology_text(x)) == x
+    assert _built(lambda: parse(text)) == _built(
+        lambda: from_poset(x.points, pairs).renamed(name))
 
 
 def test_render_topology_form_normalizes():
@@ -661,10 +710,45 @@ def test_cli_repeated_labels_fail_alike_in_order_and_opens_bodies(tmp_path, caps
 
 
 def test_cli_cap_exit_code(tmp_path, capsys):
+    """One carrier cap for both body forms, checked once the body is read:
+    before an unknown label is reported, the order is closed or the opens
+    are validated."""
     doc = tmp_path / "big.topo"
-    labels = " ".join(f"p{i}" for i in range(14))
-    doc.write_text(f"space big\npoints {labels}\n")
-    assert main(["info", str(doc)]) == 3
+    labels = [f"p{i}" for i in range(14)]
+    chain = from_poset(labels, zip(labels, labels[1:]), Caps(max_points=14))
+    refused = ("resource cap: a poset of 14 elements exceeds max_points 12; "
+               "TOPOLAB_CAP=max_points=14 lifts it\n")
+    for text in (f"space big\npoints {' '.join(labels)}\n", render(chain), topology_text(chain),
+                 f"space big\norder p0 < zz\norder p1 < p0 < p1\npoints {' '.join(labels)}\n",
+                 f"space big\nopens {{p0}} {{zz}}\npoints {' '.join(labels)}\n"):
+        doc.write_text(text)
+        assert main(["info", str(doc)]) == 3, text
+        assert capsys.readouterr().err == refused
+    with pytest.raises(ResourceCapError, match="a poset of 14 elements"):
+        parse(topology_text(chain))
+
+
+def test_unknown_order_label_names_its_line(tmp_path, capsys):
+    """The first label of no point in document order is reported with its
+    line, an order line above the points line included, after the whole
+    document is read: a later malformed line is reported first."""
+    for text, label, line in (
+            ("space s\npoints a b\norder a < c\n", "c", 3),
+            ("space s\npoints a b\norder a < qq < b < rr\norder zz < a\n", "qq", 3),
+            ("space s\norder b < a\n# x\norder a < zz\npoints a b\norder yy < b\n", "zz", 4),
+            ("space s\norder a < zz\norder yy < b\npoints a b\n", "zz", 2),
+            ("space s\npoints a b\n\norder a < b\norder b < a\norder zz < a\n", "zz", 6)):
+        with pytest.raises(DslError) as err:
+            parse(text)
+        assert (str(err.value), err.value.line) == (
+            f"line {line}: order mentions unknown element {label!r}", line)
+    with pytest.raises(DslError) as err:
+        parse("space s\norder a < zz\npoints a b\norder a <\n")
+    assert (str(err.value), err.value.line) == ("line 4: expected 'order a < b'", 4)
+    doc = tmp_path / "unknown.topo"
+    doc.write_text("space s\npoints a b\norder a < c\n")
+    assert main(["info", str(doc)]) == 2
+    assert capsys.readouterr().err == "error: line 3: order mentions unknown element 'c'\n"
 
 
 def test_cli_bad_cap_override_is_an_input_error(monkeypatch, capsys):
@@ -788,6 +872,86 @@ def test_cli_dispatch_parses_like_the_top_level_parser(argv, monkeypatch, capsys
         assert args == build_parser().parse_args(argv)
     monkeypatch.setattr(cli_io, "_parse_args", lambda argv: build_parser().parse_args(argv))
     assert dispatched == _cli_outcome(capsys, argv)
+
+
+_COMMAND_NAMES = ("info", "families", "reflect", "product", "check", "zoo", "verify")
+_ARGV_TOKENS = _COMMAND_NAMES + (
+    "--json", "--dot", "--category", "--property", "--render", "--seed", "--samples",
+    "--max-points", "--categories", "--mutate", "--help",  # every option string
+    "--cat", "--js", "--prop", "--d", "--category=wf", "--property=sober", "--json=1",
+    "--", "-h", "-", "", "-1", "zoo:vee", "zoo:sierpinski", "sob", "d", "wf", "x", "sober", "3")
+
+
+@st.composite
+def _query_argvs(draw):
+    """A command on one SPACE, then its SPACE and options in any order: the
+    SPACE and each option may be left out or repeated, a value may be any
+    token, and now and then a token drawn at random is put in."""
+    command = draw(st.sampled_from(("info", "families", "reflect", "check")))
+    mostly_once = st.sampled_from((1, 1, 1, 1, 1, 0, 2))
+    units = [["zoo:vee"]] * draw(mostly_once)
+    for flag in ("--json", "--dot"):
+        units += [[flag]] * draw(st.integers(0, 2))
+    option = {"reflect": ("--category", ("sob", "d", "wf")),
+              "check": ("--property", ("sober", "compact"))}.get(command)
+    if option is not None:
+        flag, choices = option
+        value = st.one_of(st.sampled_from(choices), st.sampled_from(_ARGV_TOKENS))
+        units += [[flag, draw(value)] for _ in range(draw(mostly_once))]
+    argv = [command] + [token for unit in draw(st.permutations(units)) for token in unit]
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(_ARGV_TOKENS)))
+    return argv
+
+
+def _parsed(parse_args, argv) -> tuple:
+    """The Namespace, or the exit code, of parse_args(argv), and its output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse_args(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@given(st.one_of(_query_argvs(),
+                 st.lists(st.sampled_from(_ARGV_TOKENS), max_size=6),
+                 st.builds(lambda command, rest: [command, *rest], st.sampled_from(_COMMAND_NAMES),
+                           st.lists(st.sampled_from(_ARGV_TOKENS), max_size=6))))
+@example(["reflect", "zoo:vee", "--category", "sob", "--category", "x"])
+@example(["check", "zoo:vee", "--json", "--json"])
+@example(["check", "zoo:vee", "--property"])
+@example(["info", ""])
+@example(["info", "-h"])
+@example(["check", "zoo:vee", "--property", "--js"])
+@example(["families", "-x", "zoo:vee"])
+@settings(max_examples=300, deadline=None)
+def test_argv_tables_read_argv_like_argparse(argv):
+    """_parse_args, which reads a command on one SPACE from its argv table
+    when it can, returns the Namespace, exit code and output of
+    build_parser().parse_args on every argv."""
+    assert _parsed(cli_io._parse_args, argv) == _parsed(build_parser().parse_args, argv)
+
+
+def test_canonical_queries_do_not_reach_argparse(monkeypatch, capsys):
+    """A query whose tokens are exact option strings, their values and one
+    SPACE is read from its command's argv table alone."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse read a canonical query")
+
+    build_parser()
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    for argv in (["info", "zoo:vee"], ["info", "--dot", "zoo:vee", "--json"],
+                 ["families", "zoo:vee", "--json"], ["families", "zoo:cofinite"],
+                 ["reflect", "zoo:vee", "--category", "wf"],
+                 ["reflect", "--category", "d", "--category", "sob", "zoo:vee", "--dot"],
+                 ["check", "zoo:vee", "--property", "sober", "--json"],
+                 ["check", "--property", "compact", "zoo:omega_chain"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    with pytest.raises(AssertionError, match="argparse read"):
+        main(["info", "zoo:vee", "--js"])
 
 
 def test_families_renders_its_member_list_once_per_answer(monkeypatch, capsys):
