@@ -216,18 +216,23 @@ def parse(text: str) -> Space:
     saw_opens = False
     symbolic_variant = None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    # lines end only at \n, \r\n and \r (not at the other breaks
+    # str.splitlines knows, such as \f or U+2028, which stay whitespace)
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        head = tokens[0]
+        head = line.split(None, 1)[0]  # an opens line can hold a thousand tokens
         if name is None:
+            tokens = line.split()
             if head != "space" or len(tokens) != 2:
                 raise DslError("expected 'space NAME'", lineno)
             name = tokens[1]
             continue
         if head == "symbolic":
+            tokens = line.split()
             if len(tokens) != 2 or tokens[1] not in _SYMBOLIC_NAMES:
                 raise DslError(
                     f"expected 'symbolic VARIANT' with VARIANT one of "
@@ -243,6 +248,7 @@ def parse(text: str) -> Space:
                 raise DslError("symbolic spaces carry no point list", lineno)
             if points is not None:
                 raise DslError("duplicate points line", lineno)
+            tokens = line.split()
             if len(tokens) < 2:
                 raise DslError("points line needs at least one label", lineno)
             points = tuple(tokens[1:])
@@ -1114,7 +1120,7 @@ def _load_space(spec: str) -> Space:
     except OSError as exc:  # str(exc) would name the path a second time
         raise ValidationError(f"cannot read {spec!r}: {exc.strerror or exc}") from exc
     try:
-        # parse's splitlines breaks at \r\n and \r: no newline translation is lost
+        # parse breaks lines at \n, \r\n and \r: no newline translation is lost
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"cannot read {spec!r}: byte {exc.start} is not UTF-8") from exc

@@ -63,31 +63,56 @@ def compress_mask(mask: int, positions: Sequence[int]) -> int:
 
 
 def _upper_sets(up_rows: Sequence[int], limit: int) -> Optional[list[int]]:
-    """All upper sets of the partial order whose row i is the mask above i.
-
-    Membership is decided from maximal elements down, so each emitted set
-    costs O(n).  The partial sets are grown one point at a time, each set
-    followed by its extension, which keeps the order of a depth-first
-    search (point left out before point put in) without its depth.  Every
-    partial set extends to at least one upper set, so this returns None as
-    soon as more than `limit` partial sets exist.
+    """All upper sets of the partial order whose row i is the mask above i,
+    in no particular order (callers sort them or compare them as a set).
+    Every partial set of _grown_upper_sets extends to at least one upper
+    set, so this returns None as soon as more than `limit` of them exist.
     """
-    n = len(up_rows)
-    order = sorted(range(n), key=lambda i: (up_rows[i].bit_count(), i))
     sets = [0]
-    for i in order:
-        bit = 1 << i
-        strict_up = up_rows[i] & ~bit
-        grown: list[int] = []
-        for mask in sets:
-            if strict_up & ~mask:
-                grown.append(mask)
-            else:
-                grown += (mask, mask | bit)
-        if len(grown) > limit:
+    for sets in _grown_upper_sets(up_rows, range(len(up_rows))):
+        if len(sets) > limit:
             return None
-        sets = grown
     return sets
+
+
+def _grown_upper_sets(up_rows: Sequence[int], points: Iterable[int]) -> Iterator[list[int]]:
+    """The upper sets of `points`, an up-closed set of points, grown one
+    point at a time: after each point is placed, this yields (as one list,
+    grown in place) the upper sets of the points placed so far.
+
+    The points are placed from maximal elements down (the points above a
+    point have smaller up-rows, so they are placed before it), and a point
+    goes into each set that already holds its strict up-row: one list
+    comprehension per point, and each set is built once, by the step of
+    its last point."""
+    sets = [0]
+    for i in sorted(points, key=lambda i: up_rows[i].bit_count()):
+        bit = 1 << i
+        up = up_rows[i] & ~bit
+        sets += [m | bit for m in sets if m & up == up]
+        yield sets
+
+
+# open_count lists a component while its partial sets number at most this
+# many per point placed.  A chain's k + 1 opens stay under any multiple of at
+# least 2.  Random orders of edge probability 1/2 have a few opens per point:
+# 4 sent three of five 40-point ones to the recursion, at 2.7 times the cost
+# of listing them, where 8 lists them all.  A wide lattice outgrows 8 per
+# point within about six points (its maximal points double the sets), and a
+# larger multiple only lists longer before giving up: with 16, 24-point
+# orders of edge probability 1/8 took about 9% longer than with 8.
+THIN_OPENS_PER_POINT = 8
+
+
+def _thin_count(up_rows: Sequence[int], points: Iterable[int], limit: int) -> Optional[int]:
+    """The number of upper sets of `points`, an up-closed set of points,
+    or None as soon as the partial sets of _grown_upper_sets outnumber
+    THIN_OPENS_PER_POINT times the points placed, or `limit`."""
+    sets = [0]
+    for placed, sets in enumerate(_grown_upper_sets(up_rows, points), 1):
+        if len(sets) > min(THIN_OPENS_PER_POINT * placed, limit):
+            return None
+    return len(sets)
 
 
 def _transpose(rows: Sequence[int]) -> tuple[int, ...]:
@@ -242,40 +267,54 @@ class FiniteSpace:
 
     @cached_property
     def open_count(self) -> int:
-        """The number of opens, without listing them.
+        """The number of opens, listed only where the lattice is thin.
 
-        An upper set is the up-closure of its minimal points, so the opens
-        are counted by the antichains of the order.  The count is the
-        product over connected components; inside a component,
+        The count is the product over connected components, and an isolated
+        point doubles it.  A larger component is listed (_grown_upper_sets)
+        while its partial sets stay within THIN_OPENS_PER_POINT times the
+        points placed so far, and within `max_opens`: a chain's k + 1 opens
+        do, so a long chain is counted in k steps of one list comprehension
+        each, and a wide lattice outgrows the bound within a few points.
+        Such a component is counted by its antichains instead (an upper set
+        is the up-closure of its minimal points):
         A(P) = A(P - x) + A(P - (up x | down x)), memoized on masks, with x
-        a point of most comparabilities.  Counting antichains is #P-complete
-        (Provan and Ball 1983), so the memo, not the answer, is bounded by
-        `max_opens`: past it this raises ResourceCapError.  Each memoized
-        component adds at least one to the count, so the memo stays below
-        the number of opens, and the count answers wherever the `opens`
-        view would.  The recursion runs on an explicit stack of generators
-        (each yields the masks it needs counted), so its depth, which is
-        the length of a chain, is not bounded by the interpreter's.
+        a point of most comparabilities.  The subproblems are not listed:
+        trying each of them cost wide orders more than it saved.  Counting
+        antichains is #P-complete (Provan and Ball 1983), so the memo, not
+        the answer, is bounded by `max_opens`: past it this raises
+        ResourceCapError.  Each memoized component adds at least one to the
+        count, so the memo stays below the number of opens, and the count
+        answers wherever the `opens` view would.  The recursion runs on an
+        explicit stack of generators (each yields the masks it needs
+        counted), so its depth, which is the length of a chain, is not
+        bounded by the interpreter's.
         """
         limit = default_caps().max_opens
-        near = [u | d for u, d in zip(self.up_masks, self.down_masks)]
+        up_rows, n, full = self.up_masks, self.n, self.full_mask
+        near = [u | d for u, d in zip(up_rows, self.down_masks)]
         memo: dict[int, int] = {}
 
-        def count(mask: int) -> Iterator[int]:
+        def count(mask: int, listing: bool) -> Iterator[int]:
+            """The opens of the suborder on `mask`; the components of the
+            whole order (`listing`) are listed when thin."""
             total = 1
             while mask:
                 comp = frontier = mask & -mask
+                reach = 0
                 while frontier:
-                    reach = 0
-                    for i in bit_indices(frontier):
-                        reach |= near[i]
-                    frontier = reach & mask & ~comp
-                    comp |= frontier
+                    low = frontier & -frontier
+                    reach |= near[low.bit_length() - 1]
+                    frontier ^= low
+                    if not frontier:
+                        frontier = reach & mask & ~comp
+                        comp |= frontier
                 mask &= ~comp
                 if comp & (comp - 1) == 0:
                     total *= 2  # an isolated point doubles the count
                     continue
                 got = memo.get(comp)
+                if got is None and listing:
+                    got = _thin_count(up_rows, range(n) if comp == full else bit_indices(comp), limit)
                 if got is None:
                     if len(memo) >= limit:
                         raise ResourceCapError(f"open count of {self.name or 'the space'}",
@@ -286,7 +325,7 @@ class FiniteSpace:
                 total *= got
             return total
 
-        stack = [count(self.full_mask)]
+        stack = [count(full, True)]
         value = None
         while True:
             try:
@@ -298,7 +337,7 @@ class FiniteSpace:
                 value = done.value
                 continue
             if mask & (mask - 1):
-                stack.append(count(mask))
+                stack.append(count(mask, False))
                 value = None
             else:
                 value = 2 if mask else 1  # no point or one point: no generator needed
@@ -314,10 +353,11 @@ class FiniteSpace:
         return _transpose(self.up_masks)
 
     @cached_property
-    def _down_set(self) -> frozenset[int]:
-        """The point closures as a set: each is closed, since the stored
-        order is transitive, so membership here answers `is_closed`."""
-        return frozenset(self.down_masks)
+    def _closure_points(self) -> dict[int, int]:
+        """Each point closure and its point: a point closure is closed,
+        since the stored order is transitive, so membership here answers
+        `is_closed`."""
+        return {d: i for i, d in enumerate(self.down_masks)}
 
     def covers(self) -> list[tuple[int, int]]:
         """Hasse pairs (i, j) of the specialization order, i < j with nothing
@@ -424,8 +464,9 @@ def from_poset(points: Sequence[str], pairs: Iterable[tuple[str, str]],
     its opens are all upper sets (the Scott topology; on a finite poset
     every directed set has a maximum, so nothing more is required of an
     upper set).  The order is the reflexive-transitive closure of the
-    pairs, by Warshall's algorithm.  A carrier over `max_points` is refused
-    first, before the pairs are read or closed."""
+    pairs, by a depth-first search over each point's direct successors
+    (_closed_order).  A carrier over `max_points` is refused first, before
+    the pairs are read or closed."""
     points = tuple(points)
     n = len(points)
     _check_carrier(n, caps or default_caps())
@@ -448,24 +489,61 @@ def _check_carrier(n: int, caps: Caps) -> None:
 
 def _closed_order(points: Sequence[str], rows: list[int]) -> list[int]:
     """The reflexive-transitive closure of the relation whose row i holds
-    bit i and the bits of the points over point i, by Warshall's algorithm;
-    a relation whose closure is no partial order (it has a cycle) is
-    refused with the first two points on the cycle."""
-    n = len(rows)
-    # after step k, every row holds what it reaches through intermediates up to k
-    for k in range(n):
+    bit i and the bits of the points over point i; a relation whose closure
+    is no partial order (it has a cycle) is refused with the first two
+    points on the cycle.
+
+    Each point's row is closed by a depth-first search over its direct
+    successors (Purdom, *A transitive closure algorithm*, 1970): the closed
+    row is the point's own row ORed with the closed rows of its successors,
+    memoized, on an explicit stack (a long chain is deeper than the
+    interpreter's recursion limit).  A successor already inside what the
+    row has gathered adds nothing, so it is skipped: one OR per remaining
+    edge.  A successor still on the search path closes a cycle; only then
+    is the refusal derived, by _refuse_cycle.
+    """
+    closed = [0] * len(rows)  # 0 until the row is closed (a closed row holds its point)
+    for root in range(len(rows)):
+        if closed[root]:
+            continue
+        path = 1 << root  # the points on the search path
+        stack = [[root, rows[root] & ~path, path]]  # [point, successors left, row so far]
+        while stack:
+            frame = stack[-1]
+            rest, row = frame[1], frame[2]
+            while rest:
+                low = rest & -rest
+                j = low.bit_length() - 1
+                if closed[j]:
+                    row |= closed[j]
+                    rest &= ~row
+                elif path & low:
+                    _refuse_cycle(points, rows)
+                else:
+                    break
+            else:
+                closed[frame[0]] = row  # its parent reads it when it meets it again
+                path ^= 1 << frame[0]
+                stack.pop()
+                continue
+            frame[1], frame[2] = rest, row
+            stack.append([j, rows[j] & ~low, low])
+            path |= low
+    return closed
+
+
+def _refuse_cycle(points: Sequence[str], rows: list[int]) -> None:
+    """Raise for a relation with a cycle, naming the first two points on it:
+    the relation is closed by Warshall's algorithm, and in a transitive
+    relation i <= j <= i iff rows i and j are equal, so the first element on
+    a cycle is the least index of a repeated row, and the next index with
+    that row is the first element it meets."""
+    for k in range(len(rows)):
         row_k = rows[k]
         rows = [r | row_k if r >> k & 1 else r for r in rows]
-    # in a transitive relation i <= j <= i iff rows i and j are equal, so
-    # the first element on a cycle is the least index of a repeated row,
-    # and the next index with that row is the first element it meets
-    if len(set(rows)) < n:
-        i = next(i for i, r in enumerate(rows) if rows.count(r) > 1)
-        j = rows.index(rows[i], i + 1)
-        raise ValidationError(
-            f"order contains a cycle through {points[i]!r} and {points[j]!r}"
-        )
-    return rows
+    i = next(i for i, r in enumerate(rows) if rows.count(r) > 1)
+    j = rows.index(rows[i], i + 1)
+    raise ValidationError(f"order contains a cycle through {points[i]!r} and {points[j]!r}")
 
 
 # ---------------------------------------------------------------------------

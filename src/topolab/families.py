@@ -62,12 +62,12 @@ def is_irreducible_closed_set(x: FiniteSpace, a: int) -> bool:
     """Closed `a` is irreducible (nonempty, not the union of two proper
     closed subsets) iff it is a point closure: the closures of its maximal
     points cover it, so it has exactly one."""
-    return a in x._down_set
+    return a in x._closure_points
 
 
 def is_irreducible_subset(x: FiniteSpace, a: int) -> bool:
     """A subset is irreducible iff its closure is an irreducible closed set."""
-    return a != 0 and x.closure(a) in x._down_set
+    return a != 0 and x.closure(a) in x._closure_points
 
 
 def irreducible_closed(x: FiniteSpace) -> ClosedFamily:

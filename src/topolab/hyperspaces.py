@@ -39,7 +39,7 @@ class ClosedFamily:
     def __post_init__(self):
         members = canonical_masks(self.members)
         object.__setattr__(self, "members", members)
-        closures = self.base._down_set
+        closures = self.base._closure_points
         for m in members:
             if m not in closures and not self.base.is_closed(m):
                 raise ValidationError(
@@ -91,15 +91,24 @@ def _member_labels(g: ClosedFamily) -> tuple[str, ...]:
     return tuple(g.base.render_subset(m) for m in g.members)
 
 
-def _inclusion_up_rows(members: tuple[int, ...]) -> list[int]:
-    """Row k is the index mask of the members containing member k: the
-    members that contain every point of member k."""
+def _inclusion_up_rows(base: FiniteSpace, members: tuple[int, ...]) -> list[int]:
+    """Row k is the index mask of the members containing member k, for
+    members that are closed sets of `base`.  A member that is a point
+    closure cl{x} is contained in exactly the members that hold x (they
+    are lower sets), so its row is one lookup in the point -> members
+    table; any other member's row is the AND of the table's rows over its
+    points."""
     containing = _transpose(members)  # point -> members holding it
+    closure_points = base._closure_points
     rows = []
     for a in members:
-        row = (1 << len(members)) - 1
-        for p in bit_indices(a):
-            row &= containing[p]
+        x = closure_points.get(a)
+        if x is None:
+            row = (1 << len(members)) - 1
+            for p in bit_indices(a):
+                row &= containing[p]
+        else:
+            row = containing[x]
         rows.append(row)
     return rows
 
@@ -124,7 +133,7 @@ def lower_vietoris(g: ClosedFamily) -> HyperSpace:
         if m == 0:
             raise ValidationError("family members must be nonempty")
     name = f"P_H({g.label or 'G'})" + (f"@{g.base.name}" if g.base.name else "")
-    space = FiniteSpace._of_order(_member_labels(g), _inclusion_up_rows(g.members), name)
+    space = FiniteSpace._of_order(_member_labels(g), _inclusion_up_rows(g.base, g.members), name)
     return HyperSpace(g, space)
 
 
@@ -160,7 +169,7 @@ def smyth_power(x: FiniteSpace) -> SmythSpace:
     open lattice of `x`, which raises ResourceCapError past `max_opens`."""
     members = tuple(u for u in x.opens if u)
     # Smyth order, a below b iff b is a subset of a: inclusion of complements
-    rows = _inclusion_up_rows(tuple(x.full_mask ^ m for m in members))
+    rows = _inclusion_up_rows(x, tuple(x.full_mask ^ m for m in members))
     labels = tuple(x.render_subset(m) for m in members)
     space = FiniteSpace._of_order(labels, rows, f"P_S({x.name})" if x.name else "P_S")
     return SmythSpace(x, members, space)
@@ -169,9 +178,29 @@ def smyth_power(x: FiniteSpace) -> SmythSpace:
 def _is_order_embedding(f: ContinuousMap) -> bool:
     """i <= j iff f(i) <= f(j): the preimage of the row of f(i) is the row of
     i.  Between finite T0 spaces this is exactly a topological embedding, as
-    the opens on both sides are the upper sets."""
-    return all(f.preimage_mask(f.target.up_masks[v]) == row
-               for row, v in zip(f.source.up_masks, f.mapping))
+    the opens on both sides are the upper sets.
+
+    The preimages are built from the fibres of the image points, from the
+    maximal ones down: the preimage of the row of v is the fibre of v ORed
+    with the preimages of the rows of image points above v, skipping each
+    point already inside a row taken, so a row costs about one OR per
+    point covering it in the image, not a pass over the source."""
+    fibres: dict[int, int] = {}  # image point -> the source points mapped to it
+    for i, v in enumerate(f.mapping):
+        fibres[v] = fibres.get(v, 0) | 1 << i
+    image = sum(1 << v for v in fibres)
+    target_up = f.target.up_masks
+    preimage: dict[int, int] = {}  # image point -> the preimage of its row
+    for v in sorted(fibres, key=lambda v: target_up[v].bit_count()):
+        pre, taken = fibres[v], 1 << v
+        rest = target_up[v] & image & ~taken
+        while rest:
+            w = (rest & -rest).bit_length() - 1
+            pre |= preimage[w]  # w is above v, so its row is smaller and done
+            taken |= target_up[w]
+            rest &= ~taken
+        preimage[v] = pre
+    return all(preimage[v] == row for row, v in zip(f.source.up_masks, f.mapping))
 
 
 def eta(g: ClosedFamily, hyper: HyperSpace | None = None) -> ContinuousMap:

@@ -106,6 +106,23 @@ def test_parse_errors_carry_line_numbers():
     assert err.value.line == 4
 
 
+def test_parse_breaks_lines_only_at_newlines():
+    """A line ends at \\n, \\r\\n or \\r and nowhere else: the other breaks
+    str.splitlines knows are whitespace inside a line, in a comment and
+    between labels alike, and the line numbers count only the three."""
+    with pytest.raises(DslError) as err:
+        parse("space s\n# section\f break\npoints a b\norder a < z\n")
+    assert (str(err.value), err.value.line) == ("line 4: order mentions unknown element 'z'", 4)
+    for gap in ("\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
+        for end in ("\n", "\r\n", "\r"):
+            space = parse(f"space s{end}points a{gap}b{end}order a < b{end}")
+            assert space.points == ("a", "b") and space.leq(0, 1), (gap, end)
+            with pytest.raises(DslError) as err:
+                parse(f"space s{end}points a{gap}b # c{gap}d{end}bogus{end}")
+            assert (str(err.value), err.value.line) == (
+                "line 3: unknown directive 'bogus'", 3), (gap, end)
+
+
 def test_points_line_refuses_a_label_holding_a_brace():
     """No opens group can name such a label, so neither body form takes it."""
     for text, label, line in (("space s\npoints a{ b\nopens {} {b} {a{ b}\n", "a{", 2),

@@ -1,9 +1,13 @@
 """Hyperspace constructions, the canonical embeddings, and their lattices."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_oracles import orders
 
 from topolab import (
     ClosedFamily,
+    ContinuousMap,
     FiniteSpace,
     ResourceCapError,
     ValidationError,
@@ -20,6 +24,7 @@ from topolab import (
     xi,
 )
 from topolab.caps import Caps
+from topolab.hyperspaces import _is_order_embedding
 from topolab.oracles import box_lattice, diamond_lattice
 from topolab.products_properties import predicates
 
@@ -194,6 +199,24 @@ def test_eta_preimage_of_diamond_is_the_open():
     f = eta(g, hv)
     for u in space.opens:
         assert f.preimage_mask(diamond(g, u)) == u
+
+
+def test_order_embedding_check_refuses_swapped_images():
+    chain = from_poset(("a", "b", "c"), [("a", "b"), ("b", "c")])
+    f = eta(point_closures(chain))
+    assert _is_order_embedding(f)
+    m = f.mapping
+    for mapping in ((m[1], m[0], m[2]), (m[0], m[2], m[1]), (m[0], m[0], m[2])):
+        assert not _is_order_embedding(ContinuousMap(chain, f.target, mapping)), mapping
+
+
+@given(orders(), orders(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_order_embedding_check_matches_the_pairwise_definition(x, y, data):
+    mapping = tuple(data.draw(st.lists(st.integers(0, y.n - 1), min_size=x.n, max_size=x.n)))
+    f = ContinuousMap(x, y, mapping)
+    want = all(x.leq(i, j) == y.leq(mapping[i], mapping[j]) for i in range(x.n) for j in range(x.n))
+    assert _is_order_embedding(f) == want
 
 
 def test_eta_requires_point_closures(sierpinski):

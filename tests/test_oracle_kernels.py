@@ -11,19 +11,29 @@ one onto the other."""
 import itertools
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_oracles import antichain, order_space, orders
+from test_core_space import wide_orders
+from test_oracles import antichain, chains, order_space, orders
 
 from topolab import (
     ALL_CATEGORIES,
+    ValidationError,
     from_poset,
     k_family,
     oracles,
     sober_target_catalog,
 )
-from topolab.core_space import _canonical_form, bit_indices
+from topolab.caps import Caps
+from topolab.core_space import (
+    THIN_OPENS_PER_POINT,
+    _canonical_form,
+    _closed_order,
+    _thin_count,
+    bit_indices,
+)
 from topolab.hyperspaces import _inclusion_up_rows
 from topolab.oracles import WF_MAX_COMPACTS, WF_MAX_FAMILY, Verdict
 
@@ -197,7 +207,7 @@ def test_inclusion_rows_match_the_pairwise_scan(x):
     families = [k_family(x, c).members for c in ALL_CATEGORIES]
     families.append(tuple(x.full_mask ^ u for u in x.opens if u))  # the Smyth order
     for members in families:
-        assert _inclusion_up_rows(members) == inclusion_rows_reference(members)
+        assert _inclusion_up_rows(x, members) == inclusion_rows_reference(members)
 
 
 def test_kernels_match_on_the_catalog():
@@ -211,3 +221,102 @@ def test_kernels_match_on_the_catalog():
     for x, form in zip(catalog, forms):
         for perm in itertools.permutations(range(x.n)):
             assert _canonical_form(relabelled_rows(x.up_masks, perm))[0] == form
+
+
+def warshall_reference(points, rows):
+    """Warshall's closure of the relation, then the first pair of equal rows
+    (a cycle, in a transitive relation) refused."""
+    n = len(rows)
+    rows = list(rows)
+    for k in range(n):
+        for i in range(n):
+            if rows[i] >> k & 1:
+                rows[i] |= rows[k]
+    for i, j in itertools.combinations(range(n), 2):
+        if rows[i] == rows[j]:
+            raise ValidationError(f"order contains a cycle through {points[i]!r} and {points[j]!r}")
+    return rows
+
+
+@st.composite
+def relations(draw):
+    """Row i holds bit i and the bits over i: on up to 9 points, pairs drawn
+    at random, self-loops included, and half the time oriented upwards in
+    index order (no cycle), else in any direction (usually a cycle)."""
+    n = draw(st.integers(1, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    if draw(st.booleans()):
+        pairs = [(min(p), max(p)) for p in pairs]
+    rows = [1 << i for i in range(n)]
+    for i, j in pairs:
+        rows[i] |= 1 << j
+    return rows
+
+
+@given(relations())
+@example([0b11, 0b11])  # a two-cycle
+@example([0b101, 0b011, 0b110])  # 0 < 2 < 1 < 0, against index order
+@example([0b11, 0b110, 0b100])  # a chain in index order
+@settings(max_examples=300, deadline=None)
+def test_closed_order_matches_warshall(rows):
+    points = [f"p{i}" for i in range(len(rows))]
+    given_rows = list(rows)
+    try:
+        want = warshall_reference(points, rows)
+    except ValidationError as err:
+        with pytest.raises(ValidationError) as got:
+            _closed_order(points, rows)
+        assert str(got.value) == str(err)
+    else:
+        assert _closed_order(points, rows) == want
+    assert rows == given_rows  # the relation itself is left as it was
+
+
+def test_closed_order_closes_a_chain_deeper_than_the_recursion_limit():
+    n = 3000
+    rows = [1 << i | 1 << (i + 1) for i in range(n - 1)] + [1 << (n - 1)]
+    closed = _closed_order([f"p{i}" for i in range(n)], rows)
+    assert closed == [((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)]
+
+
+@st.composite
+def straddling_orders(draw):
+    """Orders on 8 to 16 points with edge probability 1/3 or 1/4: the open
+    lattices of most of the first stay within open_count's listing bound,
+    and most of the second outgrow it."""
+    n = draw(st.integers(8, 16))
+    odds = draw(st.sampled_from([3, 4]))
+    labels = [f"p{i}" for i in range(n)]
+    pairs = [(labels[i], labels[j]) for i, j in itertools.combinations(range(n), 2)
+             if draw(st.integers(1, odds)) == 1]
+    return from_poset(labels, pairs, Caps(max_points=16))
+
+
+def fan(tops, length):
+    """`tops` maximal points over a chain of `length` points: one component
+    with 2**tops + length opens, whose listing places the tops first."""
+    chain = [f"c{i}" for i in range(length)]
+    top = [f"t{i}" for i in range(tops)]
+    pairs = list(zip(chain, chain[1:])) + [(chain[-1], t) for t in top]
+    return from_poset(chain + top, pairs, Caps(max_points=64))
+
+
+@given(st.one_of(wide_orders(), straddling_orders()))
+@example(chains(1))
+@example(chains(40))
+@example(chains(3, 1, 4, 1, 5))
+@example(antichain(12))
+@settings(max_examples=80, deadline=None)
+def test_open_count_matches_the_listed_lattice_across_the_listing_bound(x):
+    count = x.open_count
+    assert "opens" not in x.__dict__
+    assert count == len(x.opens)
+
+
+def test_the_listing_bound_sends_a_fan_one_top_wider_to_the_recursion():
+    widest = max(j for j in range(1, 30) if 2 ** j <= THIN_OPENS_PER_POINT * j)
+    for tops, listed in ((widest, True), (widest + 1, False)):
+        x = fan(tops, 5)
+        assert (_thin_count(x.up_masks, range(x.n), 1 << 17) is not None) == listed
+        assert x.open_count == 2 ** tops + 5 == len(x.opens)
