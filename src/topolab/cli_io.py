@@ -221,7 +221,7 @@ def parse(text: str) -> Space:
     # lines end only at \n, \r\n and \r (not at the other breaks
     # str.splitlines knows, such as \f or U+2028, which stay whitespace)
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
         head = line.split(None, 1)[0]  # an opens line can hold a thousand tokens
@@ -263,7 +263,13 @@ def parse(text: str) -> Space:
             if symbolic_variant is not None or saw_opens:
                 raise DslError("order lines cannot mix with this body", lineno)
             saw_order = True
-            chain = [t.strip() for t in line[len("order"):].split("<")]
+            chain = line[len("order"):].split("<")
+            if len(chain) == 2:  # a < b on two known labels: linked in place
+                below, above = bits.get(chain[0].strip()), bits.get(chain[1].strip())
+                if below is not None and above is not None:
+                    rows[below.bit_length() - 1] |= above
+                    continue
+            chain = [t.strip() for t in chain]
             if len(chain) < 2 or "" in chain:
                 raise DslError("expected 'order a < b'", lineno)
             if points is None:
@@ -339,7 +345,7 @@ def _scan_opens(rest: str, lineno: int, bits: dict[str, int]) -> tuple[list[int]
     *groups, last = rest.split("}")
     for chunk in groups:
         outside, brace, body = chunk.partition("{")
-        if outside.split():
+        if outside and not outside.isspace():
             raise DslError(f"label {outside.split()[0]!r} outside braces", lineno)
         if not brace:
             raise DslError("unbalanced '}'", lineno)
@@ -354,7 +360,7 @@ def _scan_opens(rest: str, lineno: int, bits: dict[str, int]) -> tuple[list[int]
                 unknown = label
         masks.append(mask)
     outside, brace, body = last.partition("{")
-    if outside.split():
+    if outside and not outside.isspace():
         raise DslError(f"label {outside.split()[0]!r} outside braces", lineno)
     if brace:
         raise DslError("nested brace group" if "{" in body else "unbalanced '{'", lineno)
@@ -1114,9 +1120,15 @@ def verify(config: VerifyConfig | None = None) -> VerifyReport:
 def _load_space(spec: str) -> Space:
     if spec.startswith("zoo:"):
         return zoo_space(spec[len("zoo:"):])
-    try:
-        with open(spec, "rb") as handle:
-            data = handle.read()
+    try:  # os.read to EOF: a buffered file object costs more than the read
+        fd = os.open(spec, os.O_RDONLY)
+        try:
+            chunks = [os.read(fd, 1 << 16)]
+            while chunks[-1]:
+                chunks.append(os.read(fd, 1 << 16))
+        finally:  # a directory opens, and fails at its first read
+            os.close(fd)
+        data = b"".join(chunks)
     except OSError as exc:  # str(exc) would name the path a second time
         raise ValidationError(f"cannot read {spec!r}: {exc.strerror or exc}") from exc
     try:

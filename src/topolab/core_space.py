@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .caps import Caps, default_caps
@@ -128,6 +128,23 @@ def _transpose(rows: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(columns))
 
 
+class lazy:
+    """A lazy view, computed on first read into the instance __dict__, where
+    later reads find it before this non-data descriptor (frozen dataclasses
+    too: __setattr__ is bypassed).  functools.cached_property takes a
+    class-wide RLock at each first read on Python 3.10 and 3.11; a view is a
+    pure function of its immutable instance, so a race stores equal values."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 # ---------------------------------------------------------------------------
 # spaces
 
@@ -177,9 +194,8 @@ class FiniteSpace:
         n = len(points)
         full = (1 << n) - 1
         opens = canonical_masks(opens)
-        for u in opens:
-            if u < 0 or u > full:
-                raise ValidationError("an open set is not a subset of the carrier")
+        if opens and (min(opens) < 0 or max(opens) > full):
+            raise ValidationError("an open set is not a subset of the carrier")
         opens_set = frozenset(opens)
         if 0 not in opens_set:
             raise ValidationError("the empty set is not open")
@@ -253,7 +269,7 @@ class FiniteSpace:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    @cached_property
+    @lazy
     def opens(self) -> tuple[int, ...]:
         """Every open, in canonical order: the upper sets of the
         specialization order.  Raises ResourceCapError when there are more
@@ -265,7 +281,7 @@ class FiniteSpace:
                                    "max_opens", limit)
         return canonical_masks(ups)
 
-    @cached_property
+    @lazy
     def open_count(self) -> int:
         """The number of opens, listed only where the lattice is thin.
 
@@ -342,17 +358,22 @@ class FiniteSpace:
             else:
                 value = 2 if mask else 1  # no point or one point: no generator needed
 
-    @cached_property
+    @lazy
     def closed_sets(self) -> tuple[int, ...]:
         """Every closed set, in canonical order; built from the `opens` view."""
         full = self.full_mask
         return canonical_masks(full ^ u for u in self.opens)
 
-    @cached_property
+    @lazy
     def down_masks(self) -> tuple[int, ...]:
         return _transpose(self.up_masks)
 
-    @cached_property
+    @lazy
+    def _sc_members(self) -> tuple[int, ...]:
+        """S_c in canonical order, the members of every family in `families`."""
+        return canonical_masks(self.down_masks)
+
+    @lazy
     def _closure_points(self) -> dict[int, int]:
         """Each point closure and its point: a point closure is closed,
         since the stored order is transitive, so membership here answers
@@ -384,7 +405,7 @@ class FiniteSpace:
             out += [(i, j) for j in bit_indices(found)]
         return out
 
-    @cached_property
+    @lazy
     def _index(self) -> dict[str, int]:
         return {p: i for i, p in enumerate(self.points)}
 

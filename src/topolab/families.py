@@ -11,8 +11,10 @@ irreducible closed set has a unique maximal point, and the minimal closed
 sets meeting an upper set k are the closures of the minimal points of k.
 The space is itself sober (hence an object of each category), so applying
 the K-set condition to the identity map forces every closed K-set to be a
-point closure too.  The enumerations that check these answers from the
-definitions live in `oracles`.
+point closure too.  So each builder returns the point closures that the
+space keeps, under its own label, without re-validating them
+(`ClosedFamily._of_point_closures`).  The enumerations that check these
+answers from the definitions live in `oracles`.
 """
 
 from __future__ import annotations
@@ -48,14 +50,14 @@ ALL_CATEGORIES = (CategoryTag.SOBRIETY, CategoryTag.D_SPACE, CategoryTag.WELL_FI
 
 def point_closures(x: FiniteSpace) -> ClosedFamily:
     """S_c: the closures of the singletons."""
-    return ClosedFamily(x, x.down_masks, label="S_c")
+    return ClosedFamily._of_point_closures(x, "S_c")
 
 
 def directed_closures(x: FiniteSpace) -> ClosedFamily:
     """D_c: closures of the directed subsets.  A finite directed set has a
     maximum, whose closure is the closure of the set; `oracles.d_space`
     enumerates the directed subsets."""
-    return ClosedFamily(x, x.down_masks, label="D_c")
+    return ClosedFamily._of_point_closures(x, "D_c")
 
 
 def is_irreducible_closed_set(x: FiniteSpace, a: int) -> bool:
@@ -73,7 +75,7 @@ def is_irreducible_subset(x: FiniteSpace, a: int) -> bool:
 def irreducible_closed(x: FiniteSpace) -> ClosedFamily:
     """Irr_c: all nonempty irreducible closed subsets, the point closures;
     `oracles.irreducible_closed_sets` tests every closed set."""
-    return ClosedFamily(x, x.down_masks, label="Irr_c")
+    return ClosedFamily._of_point_closures(x, "Irr_c")
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +163,7 @@ def rudin_sets(x: FiniteSpace) -> RudinSets:
     witnesses: dict[int, RudinWitness] = {}
     for q in sorted(range(x.n), key=lambda q: mask_key(x.up_masks[q])):
         witnesses[x.down_masks[q]] = RudinWitness._of_point(x, q)
-    return RudinSets(ClosedFamily(x, tuple(witnesses), label="RD"), witnesses)
+    return RudinSets(ClosedFamily._of_point_closures(x, "RD"), witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +179,7 @@ def k_family(x: FiniteSpace, c: CategoryTag) -> ClosedFamily:
     family is S_c(x) for every tag.  (For the sober tag this also coincides
     with Irr_c(x), which the suite checks definitionally.)
     """
-    return ClosedFamily(x, x.down_masks, label=c.family_label)
+    return ClosedFamily._of_point_closures(x, c.family_label)
 
 
 # ---------------------------------------------------------------------------

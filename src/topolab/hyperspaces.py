@@ -16,9 +16,8 @@ from the subbases, open by open.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
-from .core_space import ContinuousMap, FiniteSpace, _transpose, bit_indices, canonical_masks
+from .core_space import ContinuousMap, FiniteSpace, _transpose, bit_indices, canonical_masks, lazy
 from .errors import ContractViolation, ValidationError
 
 
@@ -26,10 +25,11 @@ from .errors import ContractViolation, ValidationError
 class ClosedFamily:
     """A distinguished family of closed subsets of a base space.
 
-    Members are canonical (popcount, value) sorted masks.  Every member is
-    validated, whoever builds the family: a point closure of the base passes
-    by one set lookup (it is closed because the stored order is
-    transitive), and any other member is tested with `is_closed`.
+    Members are canonical (popcount, value) sorted masks.  `ClosedFamily(...)`
+    validates every member: a point closure of the base passes by one set
+    lookup (it is closed because the stored order is transitive), and any
+    other member is tested with `is_closed`.  Only the theorem builders of
+    `families` skip this, through `_of_point_closures`.
     """
 
     base: FiniteSpace
@@ -46,11 +46,17 @@ class ClosedFamily:
                     f"family member {self.base.render_subset(m)} is not closed in the base"
                 )
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
+    @classmethod
+    def _of_point_closures(cls, x: FiniteSpace, label: str) -> "ClosedFamily":
+        """S_c of `x` under `label`, with the members the space keeps
+        (`FiniteSpace._sc_members`): closed and canonical, so trusted."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "base", x)
+        object.__setattr__(out, "members", x._sc_members)
+        object.__setattr__(out, "label", label)
+        return out
 
-    @cached_property
+    @lazy
     def _member_index(self) -> dict[int, int]:
         return {m: k for k, m in enumerate(self.members)}
 
@@ -153,7 +159,7 @@ class SmythSpace:
     def point_of_member(self, mask: int) -> int:
         return self._member_index[mask]
 
-    @cached_property
+    @lazy
     def _member_index(self) -> dict[int, int]:
         return {m: k for k, m in enumerate(self.members)}
 
@@ -211,15 +217,14 @@ def eta(g: ClosedFamily, hyper: HyperSpace | None = None) -> ContinuousMap:
     """
     hv = hyper if hyper is not None else lower_vietoris(g)
     base = g.base
-    mapping = []
-    for i in range(base.n):
-        cl = base.down_masks[i]
-        if cl not in g:
-            raise ValidationError(
-                f"point closure {base.render_subset(cl)} is missing from the family"
-            )
-        mapping.append(g.member_position(cl))
-    f = ContinuousMap(base, hv.space, tuple(mapping))
+    index = g._member_index
+    try:  # member positions, so points of the hyperspace
+        mapping = tuple([index[cl] for cl in base.down_masks])
+    except KeyError as exc:
+        raise ValidationError(
+            f"point closure {base.render_subset(exc.args[0])} is missing from the family"
+        ) from None
+    f = ContinuousMap._of_table(base, hv.space, mapping)
     if not _is_order_embedding(f):
         raise ContractViolation("canonical embedding is not an order embedding")
     return f

@@ -309,6 +309,74 @@ def test_parse_render_round_trip_on_orders(case):
         lambda: from_poset(x.points, pairs).renamed(name))
 
 
+_POINT_LABELS = ("a", "b", "c", "d", "b<c")  # a label may hold '<'
+
+
+@st.composite
+def _mixed_order_documents(draw):
+    """An order-form document as (text, text with each two-label line
+    forced onto the chain path): two-label lines, chains, unknown labels,
+    `a < a`, malformed order lines and comments, the points line anywhere
+    (or missing), lines ended by \n or \r\n.  A two-label line
+    `order a < b` is forced as `order a < b < b`, which links the same rows."""
+    label = st.sampled_from(("a", "b", "c", "d") * 6 + ("b<c", "z"))  # z is no point
+    gap = st.sampled_from(("", " ", "  ", "\t"))
+    comment = st.sampled_from(("", " # c", "# a < z"))
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(("pair",) * 9 + ("self", "chain", "note")
+                                                    + ("bad",) * draw(st.integers(0, 1))),
+                              max_size=8)):
+        if kind in ("note", "bad"):
+            text = draw(st.sampled_from(("# a < b", "", "  # z") if kind == "note" else (
+                "order a <", "order < b", "order a", "order", "order a < # b", "order a << b")))
+            lines.append((text, text))
+            continue
+        a = draw(label)
+        chain = [a, a] if kind == "self" else [a] + draw(st.lists(
+            label, min_size=1 if kind == "pair" else 2, max_size=1 if kind == "pair" else 3))
+        g, tail = draw(gap), draw(comment)
+        text = "order " + f"{g}<{g}".join(chain)
+        forced = text + f"{g}<{g}{chain[-1]}" if len(chain) == 2 and "<" not in "".join(chain) \
+            else text
+        lines.append((text + tail, forced + tail))
+    if draw(st.integers(0, 19)):
+        points = draw(st.permutations(_POINT_LABELS))[:draw(st.integers(3, 5))]
+        line = "points " + " ".join(points)
+        lines.insert(draw(st.integers(0, len(lines))), (line, line))
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    return tuple(end.join(["space s", *(pair[k] for pair in lines)]) + end for k in (0, 1))
+
+
+@given(_mixed_order_documents())
+@example(("space s\norder a < b\npoints a b\n", "space s\norder a < b < b\npoints a b\n"))
+@example(("space s\npoints a b<c c\norder a < b<c\n",) * 2)
+@example(("space s\npoints a b\norder a < z\norder z < q\n",
+          "space s\npoints a b\norder a < z < z\norder z < q < q\n"))
+@settings(max_examples=300, deadline=None)
+def test_two_label_order_lines_parse_like_chains(case):
+    """A two-label order line on known labels is linked in place; any
+    document gives the space, or the error text and line, that it gives
+    with every such line forced onto the chain path."""
+    text, forced = case
+    assert _built(lambda: parse(text)) == _built(lambda: parse(forced))
+
+
+_JUNK = st.sampled_from(("space s\n", "space", "points", "order", "opens", "symbolic", "cofinite",
+                         " ", "\t", "\n", "\r", "\r\n", "\f", "{", "}", "<", "#", "a", "b", "é"))
+
+
+@given(st.one_of(st.text(), st.lists(_JUNK).map("".join)))
+@example("space s\npoints a\nopens {} {a} }\n")
+@settings(max_examples=300, deadline=None)
+def test_parse_refuses_junk_only_with_document_errors(text):
+    """Any text parses to a space or raises DslError, ValidationError or
+    ResourceCapError: never another exception."""
+    try:
+        parse(text)
+    except (DslError, ValidationError, ResourceCapError):
+        pass
+
+
 def test_render_topology_form_normalizes():
     space = parse("space x\npoints 0 1\nopens {} {1} {0 1}\n")
     assert parse(render(space)) == space
@@ -716,6 +784,33 @@ def test_cli_info_and_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: cannot read {str(latin1)!r}: byte 16 is not UTF-8\n"
     assert main(["info", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: cannot read {str(tmp_path)!r}: Is a directory\n"
+
+
+def test_cli_reads_a_document_longer_than_one_read(tmp_path, capsys):
+    """The reader reads to the end of the file, past its 64 KiB reads, and
+    names a byte that is not UTF-8 by its offset in the whole file."""
+    data = ("space long\npoints a b c\n" + "# padding\n" * 8000
+            + "order a < b\norder b < c\n").encode()
+    assert len(data) > 1 << 16
+    doc = tmp_path / "long.topo"
+    doc.write_bytes(data)
+    got, want = cli_io._load_space(str(doc)), parse(doc.read_text())
+    assert (got, got.name) == (want, want.name) and got.leq(0, 2)
+    doc.write_bytes(data + b"# \xff\n")
+    assert main(["info", str(doc)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot read {str(doc)!r}: byte {len(data) + 2} is not UTF-8\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+def test_cli_reading_a_directory_leaves_no_descriptor_open(tmp_path, capsys):
+    """A directory opens and fails at its first read: its descriptor is
+    closed all the same."""
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        assert main(["info", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {str(tmp_path)!r}: Is a directory\n" * 3
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_cli_repeated_labels_fail_alike_in_order_and_opens_bodies(tmp_path, capsys):

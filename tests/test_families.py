@@ -200,6 +200,20 @@ def test_families_built_by_theorem_pass_the_validating_constructors(x):
                 ClosedFamily(x, x.down_masks + (up,))
 
 
+@given(st.one_of(orders(), wide_orders()))
+@settings(max_examples=120, deadline=None)
+def test_theorem_builders_return_the_family_the_constructor_validates(x):
+    """Each of the five builders hands out the space's point closures
+    unchecked; each family equals, label included, the one that
+    `ClosedFamily(x, x.down_masks, label=...)` validates and sorts."""
+    built = {"S_c": point_closures(x), "D_c": directed_closures(x),
+             "Irr_c": irreducible_closed(x), "RD": rudin_sets(x).family}
+    built.update({c.family_label: k_family(x, c) for c in ALL_CATEGORIES})
+    for label, fam in built.items():
+        checked = ClosedFamily(x, x.down_masks, label=label)
+        assert (fam.base, fam.members, fam.label) == (checked.base, checked.members, label)
+
+
 # ---------------------------------------------------------------------------
 # K-set families
 

@@ -3,8 +3,10 @@ no private module-level function goes unreferenced, the production path
 does not reach the definitional oracles or list an open lattice, the
 oracles do not lean on a production family, every name the traced
 benchmark run wraps is bound, indented JSON has one writer, the command
-line keeps no cache from one call to the next but its parser, and only
-`rudin_sets` builds a Rudin witness without its checks."""
+line keeps no cache from one call to the next but its parser, only
+`rudin_sets` builds a Rudin witness and only the theorem builders of
+`families` a closed family without their checks, and no module takes
+functools.cached_property's lock."""
 
 import ast
 import importlib
@@ -254,10 +256,9 @@ def test_cli_io_caches_nothing_across_calls_but_its_parser():
         f"cli_io uses functools caches on lines {uses}"
 
 
-def test_only_rudin_sets_builds_unchecked_witnesses():
-    """`RudinWitness._of_point` skips the witness checks, which hold for the
-    witnesses `rudin_sets` reads off the order by theorem; a witness from
-    any other caller goes through `RudinWitness(...)` and is validated."""
+def _attribute_users(attr: str) -> list[str]:
+    """`file:function` for each place in the package, the tests and the
+    benchmark that takes the attribute `attr`, in file and source order."""
     tests = Path(__file__).resolve().parent
     files = sorted(PACKAGE.glob("*.py")) + sorted(tests.glob("*.py")) + \
         sorted((PACKAGE.parent.parent / "perfbench").glob("*.py"))
@@ -268,10 +269,44 @@ def test_only_rudin_sets_builds_unchecked_witnesses():
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, f"{where.partition(':')[0]}:{child.name}")
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "_of_point":
+            if isinstance(child, ast.Attribute) and child.attr == attr:
                 users.append(where)
             visit(child, where)
 
     for path in files:
         visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.name}:<module>")
+    return users
+
+
+def test_only_rudin_sets_builds_unchecked_witnesses():
+    """`RudinWitness._of_point` skips the witness checks, which hold for the
+    witnesses `rudin_sets` reads off the order by theorem; a witness from
+    any other caller goes through `RudinWitness(...)` and is validated."""
+    users = _attribute_users("_of_point")
     assert users == ["families.py:rudin_sets"], f"unchecked witnesses built in {users}"
+
+
+def test_only_the_theorem_builders_build_unchecked_families():
+    """`ClosedFamily._of_point_closures` hands out the space's point
+    closures unchecked, which is the theorem of the five builders in
+    `families` (each of their families is S_c on a finite T0 space); a
+    family from any other caller goes through `ClosedFamily(...)` and is
+    validated."""
+    users = _attribute_users("_of_point_closures")
+    assert users == [f"families.py:{name}" for name in (
+        "point_closures", "directed_closures", "irreducible_closed", "rudin_sets",
+        "k_family")], f"unchecked families built in {users}"
+
+
+def test_no_module_uses_functools_cached_property():
+    """Lazy views are `core_space.lazy`: functools.cached_property takes a
+    class-wide lock at each first read on Python 3.10 and 3.11, a cost that
+    every query pays on each view it builds."""
+    users = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            named = node.names if isinstance(node, ast.ImportFrom) else []
+            if any(alias.name == "cached_property" for alias in named) or \
+                    getattr(node, "attr", None) == "cached_property":
+                users.append(f"{path.name}:{node.lineno}")
+    assert not users, f"functools.cached_property used at {users}"
