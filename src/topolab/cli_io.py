@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring
@@ -198,12 +199,74 @@ def parse(text: str) -> Space:
     Three bodies are accepted after the ``space NAME`` header: ``points``
     plus ``order a < b`` lines (the order lines form a DAG whose
     reflexive-transitive closure is the order), ``points`` plus ``opens``
-    lines listing brace groups, or ``symbolic VARIANT``.  Order lines are
-    read straight into the rows of the order, which are then closed.  Once
-    the body is read, a carrier over `max_points` is refused (in both forms,
-    before any further check), and then the first label of no point, with
-    its line.
+    lines listing brace groups, or ``symbolic VARIANT``.  A document in the
+    plain layout is read whole (_parse_plain); any other, and any that it
+    declines, is read line by line (_parse_lines), which names every error.
     """
+    space = _parse_plain(text)
+    return space if space is not None else _parse_lines(text)
+
+
+_LABEL = r"[^\s#<{}]+"
+# The layout render writes: a `space` line, a `points` line, then only
+# `order a < b` lines or one `opens` line; single spaces, \n endings, no
+# comment.  A group's body is any text but braces, '#' and line ends (a \s
+# class costs three times as much on a long line), split as _scan_opens does.
+_PLAIN = re.compile(rf"space ([^\s#]+)\npoints((?: {_LABEL})+)((?:\norder {_LABEL} < {_LABEL})*"
+                    r"|\nopens(?: \{[^{}#\r\n]*\})+)\n?")
+
+
+def _parse_plain(text: str) -> Optional[FiniteSpace]:
+    """The space of a plain-layout document, matched whole: its labels come
+    from one split, each opens group's mask from one token pass, and order
+    pairs that all point up the points line are closed in one sweep from
+    the last point down.  None for any other text, and for a repeated or
+    unknown label or a carrier over `max_points`: _parse_lines reads those
+    and reports them."""
+    match = _PLAIN.fullmatch(text)
+    if match is None:
+        return None
+    name, labels, body = match.groups()
+    points = tuple(labels.split())
+    n = len(points)
+    index = dict(zip(points, range(n)))
+    if len(index) != n or n > default_caps().max_points:
+        return None
+    if body.startswith("\nopens"):
+        bits = {p: 1 << i for i, p in enumerate(points)}
+        bits["}"] = 0  # ends a group: no label holds a brace
+        masks, mask = [], 0
+        for bit in map(bits.get, body[6:].replace("{", "").replace("}", " }").split()):
+            if bit:
+                mask |= bit
+            elif bit is None:
+                return None  # a label of no point
+            else:
+                masks.append(mask)
+                mask = 0
+        return FiniteSpace(points, masks, name)
+    tokens = body.split()  # order a < b: four tokens a line
+    try:
+        pairs = list(zip(map(index.__getitem__, tokens[1::4]),
+                         map(index.__getitem__, tokens[3::4])))
+    except KeyError:  # a label of no point
+        return None
+    rows = [1 << i for i in range(n)]
+    if all(i <= j for i, j in pairs):
+        # a pair's upper row is closed before it is read
+        for i, j in sorted(pairs, reverse=True):
+            rows[i] |= rows[j]
+        return FiniteSpace._of_order(points, rows, name)
+    for i, j in pairs:
+        rows[i] |= 1 << j
+    return FiniteSpace._of_order(points, _closed_order(points, rows), name)
+
+
+def _parse_lines(text: str) -> Space:
+    """Parse a space document line by line.  Order lines are read straight
+    into the rows of the order, which are then closed.  Once the body is
+    read, a carrier over `max_points` is refused (in both forms, before any
+    further check), and then the first label of no point, with its line."""
     name = None
     points: Optional[tuple[str, ...]] = None
     bits: dict[str, int] = {}  # label -> its bit, once the points line is read
@@ -263,13 +326,7 @@ def parse(text: str) -> Space:
             if symbolic_variant is not None or saw_opens:
                 raise DslError("order lines cannot mix with this body", lineno)
             saw_order = True
-            chain = line[len("order"):].split("<")
-            if len(chain) == 2:  # a < b on two known labels: linked in place
-                below, above = bits.get(chain[0].strip()), bits.get(chain[1].strip())
-                if below is not None and above is not None:
-                    rows[below.bit_length() - 1] |= above
-                    continue
-            chain = [t.strip() for t in chain]
+            chain = [t.strip() for t in line[len("order"):].split("<")]
             if len(chain) < 2 or "" in chain:
                 raise DslError("expected 'order a < b'", lineno)
             if points is None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .caps import Caps, default_caps
@@ -285,13 +285,16 @@ class FiniteSpace:
     def open_count(self) -> int:
         """The number of opens, listed only where the lattice is thin.
 
-        The count is the product over connected components, and an isolated
-        point doubles it.  A larger component is listed (_grown_upper_sets)
-        while its partial sets stay within THIN_OPENS_PER_POINT times the
-        points placed so far, and within `max_opens`: a chain's k + 1 opens
-        do, so a long chain is counted in k steps of one list comprehension
-        each, and a wide lattice outgrows the bound within a few points.
-        Such a component is counted by its antichains instead (an upper set
+        A built `opens` view (a topology-form document's) is counted as it
+        stands.  An order with no isolated point is listed whole first
+        (_grown_upper_sets), with no down-row transpose, while its partial
+        sets stay within THIN_OPENS_PER_POINT times the points placed so
+        far, and within `max_opens`: a chain's k + 1 opens do, so a long
+        chain is counted in k steps of one list comprehension each, and a
+        wide lattice outgrows the bound within a few points.  Otherwise the
+        count is the product over connected components, an isolated point
+        doubles it, and a larger component is listed in the same way; one
+        that outgrows the bound is counted by its antichains (an upper set
         is the up-closure of its minimal points):
         A(P) = A(P - x) + A(P - (up x | down x)), memoized on masks, with x
         a point of most comparabilities.  The subproblems are not listed:
@@ -305,8 +308,17 @@ class FiniteSpace:
         counted), so its depth, which is the length of a chain, is not
         bounded by the interpreter's.
         """
+        if "opens" in self.__dict__:  # a built view is counted, never listed again
+            return len(self.__dict__["opens"])
         limit = default_caps().max_opens
         up_rows, n, full = self.up_masks, self.n, self.full_mask
+        # an isolated point (its row holds it alone, and no row of two or more
+        # points holds it) doubles every listing: such an order goes to components
+        related = reduce(int.__or__, (row for row in up_rows if row & (row - 1)), 0)
+        if all(row & (row - 1) or row & related for row in up_rows):
+            got = _thin_count(up_rows, range(n), limit)
+            if got is not None:
+                return got
         near = [u | d for u, d in zip(up_rows, self.down_masks)]
         memo: dict[int, int] = {}
 
@@ -329,8 +341,8 @@ class FiniteSpace:
                     total *= 2  # an isolated point doubles the count
                     continue
                 got = memo.get(comp)
-                if got is None and listing:
-                    got = _thin_count(up_rows, range(n) if comp == full else bit_indices(comp), limit)
+                if got is None and listing and comp != full:
+                    got = _thin_count(up_rows, bit_indices(comp), limit)
                 if got is None:
                     if len(memo) >= limit:
                         raise ResourceCapError(f"open count of {self.name or 'the space'}",

@@ -42,6 +42,7 @@ from topolab import (
 )
 from topolab import cli_io
 from topolab.caps import Caps
+from topolab.core_space import bit_indices
 from topolab.cli_io import (
     MaskLists,
     _dump_json,
@@ -421,6 +422,95 @@ def test_render_refuses_labels_a_document_cannot_hold():
         assert render(from_poset(["a"], []).renamed(name)) == "space space\npoints a\n"
     assert render(SymbolicSpace(SymbolicVariant.COFINITE, name="my#w")) == \
         "space cofinite\nsymbolic cofinite\n"
+
+
+# a step off the plain layout, at random: each reads line by line
+_OFF_PLAIN = ("comment", "tab", "double space", "cr", "chain", "points late", "blank line",
+              "brace label", "angle label", "two opens lines")
+
+
+@st.composite
+def _plain_layout_documents(draw):
+    """A plain-layout document, or one a step off it, as (text, whether it
+    is plain with distinct, known labels, so that _parse_plain must read
+    it): the covers or the opens of an order under random labels.  Pairs
+    may descend the points line and close cycles; a label may be repeated
+    in the points line, or unknown (`zz`); groups may be `{}`, repeat a
+    label, or leave the family short of a topology; the last newline may
+    be missing."""
+    x = draw(orders())
+    labels = draw(st.lists(st.one_of(st.sampled_from(("a", "b", "order", "opens", "é")),
+                                     _dsl_labels.filter(lambda t: t != "zz")),
+                           min_size=x.n, max_size=x.n, unique=True))
+    clean = True
+    if x.n > 1 and not draw(st.integers(0, 9)):
+        labels[-1], clean = labels[0], False
+    known = st.sampled_from(labels)
+    if draw(st.booleans()):
+        pairs = [(labels[i], labels[j]) for i, j in x.covers()]
+        pairs += draw(st.lists(st.tuples(known, known), max_size=draw(st.sampled_from((0, 2)))))
+        body = [f"order {a} < {b}" for a, b in draw(st.permutations(pairs))]
+    else:
+        groups = [[labels[i] for i in bit_indices(u)] for u in x.opens]
+        if draw(st.booleans()):
+            groups.pop(draw(st.integers(0, len(groups) - 1)))
+        groups += draw(st.lists(st.lists(known, max_size=4), max_size=2))  # may repeat a label
+        body = ["opens " + " ".join("{" + " ".join(g) + "}" for g in draw(st.permutations(groups)))]
+    if body and not draw(st.integers(0, 7)):
+        k = draw(st.integers(0, len(body) - 1))
+        body[k], clean = body[k].replace(draw(known), "zz", 1), False
+    lines = ["space " + draw(st.sampled_from(("s", "order", "{x}"))), "points " + " ".join(labels),
+             *body]
+    off = draw(st.sampled_from((None,) * 8 + _OFF_PLAIN))
+    k = draw(st.integers(1, len(lines) - 1))
+    if off == "comment":
+        lines[k] += " # a < b"
+    elif off in ("tab", "double space"):
+        lines[k] = lines[k].replace(" ", "\t" if off == "tab" else "  ", 1)
+    elif off == "chain" and body and body[0].startswith("order"):
+        lines[2] += " < " + draw(known)
+    elif off == "points late" and body:
+        lines[1], lines[2] = lines[2], lines[1]
+    elif off == "blank line":
+        lines.insert(k, "")
+    elif off in ("brace label", "angle label"):
+        lines[1] += " q{" if off == "brace label" else " q<r"
+    elif off == "two opens lines" and body and body[0].startswith("opens"):
+        lines.append("opens {}")
+    text = "\n".join(lines) + draw(st.sampled_from(("\n", "")))
+    if off == "cr":
+        text = text.replace("\n", "\r\n")
+    return text, clean and off is None
+
+
+def _read(read, text) -> tuple:
+    """What `read` makes of `text`: the space's points, rows and name, or
+    the type, text and line of the document error it raises."""
+    try:
+        space = read(text)
+    except (DslError, ValidationError, ResourceCapError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+    return space.points, space.up_masks, space.name
+
+
+@given(_plain_layout_documents(), st.sampled_from((4, 12)))
+@example(("space s\npoints a b c\norder b < c\norder a < b", True), 12)
+@example(("space s\npoints a b\nopens {} {b} {b b} {a b}\n", True), 12)
+@example(("space s\npoints a b\norder b < a\norder a < b\n", True), 12)
+@example(("space s\npoints a b c d e\norder a < b\n", True), 4)
+@settings(max_examples=300, deadline=None)
+def test_plain_documents_read_whole_as_line_by_line(case, max_points):
+    """The whole match gives every document the points, rows and name, or
+    the error text and line, of the line parser alone, and it reads every
+    plain document whose labels are distinct and known and whose carrier
+    meets the cap."""
+    text, plain = case
+    with mock.patch.dict(os.environ, {"TOPOLAB_CAP": f"max_points={max_points}"}):
+        want = _read(cli_io._parse_lines, text)
+        assert _read(parse, text) == want
+        if plain and len(text.split("\n")[1].split()) - 1 <= max_points:
+            with mock.patch.object(cli_io, "_parse_lines", side_effect=AssertionError(text)):
+                assert _read(parse, text) == want
 
 
 # ---------------------------------------------------------------------------

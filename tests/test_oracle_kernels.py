@@ -20,10 +20,12 @@ from test_oracles import antichain, chains, order_space, orders
 
 from topolab import (
     ALL_CATEGORIES,
+    FiniteSpace,
     ValidationError,
     from_poset,
     k_family,
     oracles,
+    reflect,
     sober_target_catalog,
 )
 from topolab.caps import Caps
@@ -312,6 +314,34 @@ def test_open_count_matches_the_listed_lattice_across_the_listing_bound(x):
     count = x.open_count
     assert "opens" not in x.__dict__
     assert count == len(x.opens)
+
+
+@st.composite
+def counted_spaces(draw):
+    """A maker of fresh copies of one space: an order, a wide order, or the
+    reflection space of an order."""
+    kind = draw(st.sampled_from(("order", "wide", "reflection")))
+    if kind == "reflection":
+        x, c = draw(orders()), draw(st.sampled_from(ALL_CATEGORIES))
+        return lambda: reflect(x, c).space
+    x = draw(orders() if kind == "order" else wide_orders())
+    return lambda: FiniteSpace._of_order(x.points, x.up_masks, x.name)
+
+
+@given(counted_spaces())
+@settings(max_examples=80, deadline=None)
+def test_open_count_is_the_number_of_opens_whichever_view_comes_first(make):
+    """The count read first, after the `opens` view and after the down
+    rows: each is the number of opens."""
+    first = make()
+    count = first.open_count
+    assert count == len(first.opens)
+    after_opens = make()
+    after_opens.opens
+    assert after_opens.open_count == count
+    after_down = make()
+    after_down.down_masks
+    assert after_down.open_count == count
 
 
 def test_the_listing_bound_sends_a_fan_one_top_wider_to_the_recursion():

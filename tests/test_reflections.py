@@ -4,7 +4,9 @@ verifier, and dcpo completion."""
 import itertools
 
 import pytest
+from hypothesis import given, settings
 from test_oracle_kernels import isomorphic_by_permutations
+from test_oracles import orders
 
 from topolab import (
     ALL_CATEGORIES,
@@ -34,6 +36,7 @@ from topolab import (
     sym_reflect,
     universal_property_report,
 )
+from topolab.core_space import _canonical_form
 from topolab.symbolic import OMEGA_CHAIN, SymbolicVariant
 
 
@@ -215,6 +218,17 @@ def test_reflection_idempotent():
         r = reflect(x, c)
         r2 = reflect(r.space, c)
         assert is_homeomorphic(r2.space, r.space)
+
+
+@given(orders())
+@settings(max_examples=80, deadline=None)
+def test_reflect_is_idempotent_on_every_order(x):
+    """A reflection is a finite T0 space, an object of every category, so
+    reflecting it again gives the same order up to relabelling."""
+    for c in ALL_CATEGORIES:
+        once = reflect(x, c).space
+        assert _canonical_form(reflect(once, c).space.up_masks)[0] == \
+            _canonical_form(once.up_masks)[0]
 
 
 def test_sobriety_coincidence():
