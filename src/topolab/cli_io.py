@@ -211,7 +211,7 @@ _LABEL = r"[^\s#<{}]+"
 # The layout render writes: a `space` line, a `points` line, then only
 # `order a < b` lines or one `opens` line; single spaces, \n endings, no
 # comment.  A group's body is any text but braces, '#' and line ends (a \s
-# class costs three times as much on a long line), split as _scan_opens does.
+# class costs three times as much on a long line), split as _scan_opens splits it.
 _PLAIN = re.compile(rf"space ([^\s#]+)\npoints((?: {_LABEL})+)((?:\norder {_LABEL} < {_LABEL})*"
                     r"|\nopens(?: \{[^{}#\r\n]*\})+)\n?")
 
@@ -263,21 +263,14 @@ def _parse_plain(text: str) -> Optional[FiniteSpace]:
 
 
 def _parse_lines(text: str) -> Space:
-    """Parse a space document line by line.  Order lines are read straight
-    into the rows of the order, which are then closed.  Once the body is
-    read, a carrier over `max_points` is refused (in both forms, before any
-    further check), and then the first label of no point, with its line."""
+    """Parse a space document line by line, syntax first and labels second:
+    a malformed line raises at its line, in document order; then come the
+    checks of the whole document (empty, symbolic, no points line, a carrier
+    over `max_points`); last, the first label of no point raises at its line."""
     name = None
     points: Optional[tuple[str, ...]] = None
-    bits: dict[str, int] = {}  # label -> its bit, once the points line is read
-    rows: list[int] = []  # row i: bit i and the bits an order line puts over point i
-    opens_masks: list[int] = []
-    unknown: Optional[tuple[str, int]] = None  # the first label of no point, and its line
-    early_opens: list[tuple[int, str]] = []  # opens lines read before the points line
-    early_orders: list[tuple[int, list[str]]] = []  # order lines read before it
-    saw_order = False
-    saw_opens = False
-    symbolic_variant = None
+    form = None  # "order", "opens" or "symbolic", once a line of that body is read
+    body: list[tuple[int, list]] = []  # each body line: its number, and its chain or groups
 
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -302,12 +295,14 @@ def _parse_lines(text: str) -> Space:
                     f"{', '.join(sorted(_SYMBOLIC_NAMES))}", lineno)
             if points is not None:
                 raise DslError("symbolic spaces carry no point list", lineno)
-            if symbolic_variant is not None:
+            if form == "symbolic":
                 raise DslError("duplicate symbolic line", lineno)
-            symbolic_variant = _SYMBOLIC_NAMES[tokens[1]]
+            if form is not None:
+                raise DslError(f"symbolic spaces carry no {form} lines", lineno)
+            form, variant = head, _SYMBOLIC_NAMES[tokens[1]]
             continue
         if head == "points":
-            if symbolic_variant is not None:
+            if form == "symbolic":
                 raise DslError("symbolic spaces carry no point list", lineno)
             if points is not None:
                 raise DslError("duplicate points line", lineno)
@@ -319,109 +314,71 @@ def _parse_lines(text: str) -> Space:
                 braced = next(p for p in points if "{" in p or "}" in p)
                 raise DslError(f"point label {braced!r} holds a brace, "
                                "which no opens group can name", lineno)
-            bits = {p: 1 << i for i, p in enumerate(points)}
-            rows = [1 << i for i in range(len(points))]
             continue
-        if head == "order":
-            if symbolic_variant is not None or saw_opens:
-                raise DslError("order lines cannot mix with this body", lineno)
-            saw_order = True
-            chain = [t.strip() for t in line[len("order"):].split("<")]
+        if head == "order" or head == "opens":
+            if form not in (None, head):
+                raise DslError(f"{head} lines cannot mix with this body", lineno)
+            form = head
+            if head == "opens":
+                body.append((lineno, _scan_opens(line[5:], lineno)))
+                continue
+            chain = [t.strip() for t in line[5:].split("<")]
             if len(chain) < 2 or "" in chain:
                 raise DslError("expected 'order a < b'", lineno)
-            if points is None:
-                early_orders.append((lineno, chain))  # its labels are read below
-            else:
-                label = _link_order(chain, bits, rows)
-                if unknown is None and label is not None:
-                    unknown = (label, lineno)
-            continue
-        if head == "opens":
-            if symbolic_variant is not None or saw_order:
-                raise DslError("opens lines cannot mix with this body", lineno)
-            saw_opens = True
-            rest = line[len("opens"):]
-            masks, label = _scan_opens(rest, lineno, bits)
-            if points is None:
-                early_opens.append((lineno, rest))  # its labels are read again below
-            else:
-                opens_masks += masks
-                if unknown is None and label is not None:
-                    unknown = (label, lineno)
+            body.append((lineno, chain))
             continue
         raise DslError(f"unknown directive {head!r}", lineno)
 
     if name is None:
         raise DslError("empty document", 1)
-    if symbolic_variant is not None:
-        return SymbolicSpace(symbolic_variant, name=name)
+    if form == "symbolic":
+        return SymbolicSpace(variant, name=name)
     if points is None:
         raise DslError("missing points line", 1)
     _check_carrier(len(points), default_caps())
-    if saw_opens:
-        for group_line, rest in reversed(early_opens):  # the first lines of the body
-            masks, label = _scan_opens(rest, group_line, bits)
-            opens_masks += masks
-            if label is not None:
-                unknown = (label, group_line)
-        if unknown is not None:
-            raise DslError(f"open mentions unknown point {unknown[0]!r}", unknown[1])
-        return FiniteSpace(points, opens_masks, name=name)
-    for chain_line, chain in reversed(early_orders):  # the first lines of the body
-        label = _link_order(chain, bits, rows)
-        if label is not None:
-            unknown = (label, chain_line)
-    if unknown is not None:
-        raise DslError(f"order mentions unknown element {unknown[0]!r}", unknown[1])
+    bits = {p: 1 << i for i, p in enumerate(points)}
+    if form == "opens":
+        masks = []
+        for lineno, groups in body:
+            for labels in groups:
+                mask = 0
+                for label in labels:
+                    bit = bits.get(label)
+                    if bit is None:
+                        raise DslError(f"open mentions unknown point {label!r}", lineno)
+                    mask |= bit
+                masks.append(mask)
+        return FiniteSpace(points, masks, name=name)
+    rows = [1 << i for i in range(len(points))]  # row i: bit i and the bits over point i
+    for lineno, chain in body:
+        links = list(map(bits.get, chain))
+        if None in links:
+            raise DslError(f"order mentions unknown element {chain[links.index(None)]!r}", lineno)
+        for below, above in zip(links, links[1:]):
+            rows[below.bit_length() - 1] |= above
     return FiniteSpace._of_order(points, _closed_order(points, rows), name)
 
 
-def _link_order(chain: list[str], bits: dict[str, int], rows: list[int]) -> Optional[str]:
-    """Put each label of one order line's chain under the next in `rows`
-    (row i holds the bits over point i), and return the chain's first label
-    that is not in `bits` (None if there is none).  A document with such a
-    label is refused, so what the chain linked before it does not matter."""
-    below = bits.get(chain[0])
-    for label in chain[1:]:
-        above = bits.get(label)
-        if below is None or above is None:
-            return next(t for t in chain if t not in bits)
-        rows[below.bit_length() - 1] |= above
-        below = above
-    return None
-
-
-def _scan_opens(rest: str, lineno: int, bits: dict[str, int]) -> tuple[list[int], Optional[str]]:
-    """The masks of the brace groups of one opens line, read one group per
-    '}', and its first label that is not in `bits` (None if there is none).
-    A malformed brace group raises at once, the first in the line first; an
-    unknown label is only reported, since the errors of later lines come
-    first."""
-    masks = []
-    unknown = None
-    *groups, last = rest.split("}")
-    for chunk in groups:
-        outside, brace, body = chunk.partition("{")
+def _scan_opens(rest: str, lineno: int) -> list[list[str]]:
+    """The label groups of one opens line, read one group per '}'.  A
+    malformed brace group raises, the first in the line first."""
+    groups = []
+    *chunks, last = rest.split("}")
+    for chunk in chunks:
+        outside, brace, group = chunk.partition("{")
         if outside and not outside.isspace():
             raise DslError(f"label {outside.split()[0]!r} outside braces", lineno)
         if not brace:
             raise DslError("unbalanced '}'", lineno)
-        if "{" in body:
+        if "{" in group:
             raise DslError("nested brace group", lineno)
-        mask = 0
-        for label in body.split():
-            bit = bits.get(label)
-            if bit is not None:
-                mask |= bit
-            elif unknown is None:
-                unknown = label
-        masks.append(mask)
-    outside, brace, body = last.partition("{")
+        groups.append(group.split())
+    outside, brace, group = last.partition("{")
     if outside and not outside.isspace():
         raise DslError(f"label {outside.split()[0]!r} outside braces", lineno)
     if brace:
-        raise DslError("nested brace group" if "{" in body else "unbalanced '{'", lineno)
-    return masks, unknown
+        raise DslError("nested brace group" if "{" in group else "unbalanced '{'", lineno)
+    return groups
 
 
 def render(space: Space) -> str:
@@ -1433,8 +1390,8 @@ class _ArgvTable:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built on first use and kept for the process.
-    It keeps the subcommand parsers by name (`commands`) and the argv tables
-    of the commands on one SPACE (`argv_tables`)."""
+    It keeps the argv tables of the commands on one SPACE (`argv_tables`),
+    which _parse_args reads before it calls argparse."""
     parser = argparse.ArgumentParser(
         prog="topolab",
         description="Finite T0 spaces, hyperspace reflections, and their checkers.",
@@ -1480,7 +1437,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cmd.add_argument("--mutate", action="store_true",
                             help="invert one predicate as a harness self-test")
     verify_cmd.add_argument("--json", action="store_true")
-    parser.commands = sub.choices  # the subcommand parsers by name, for main
     return parser
 
 
@@ -1497,25 +1453,13 @@ _COMMANDS = {
 
 def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     """build_parser().parse_args(argv).  A command on one SPACE is read
-    from its argv table when the table can read argv.  Otherwise, when
-    argv[0] names a command, the top-level parser would only hand the rest
-    to that command's parser and report what it leaves over, so argv[1:]
-    goes to it directly; anything else (no arguments, -h, an unknown
-    command) takes the top-level path."""
+    from its argv table when the table can read argv; any other argv goes
+    to argparse whole."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     table = parser.argv_tables.get(argv[0]) if argv else None
     args = table.read(argv) if table is not None else None
-    if args is not None:
-        return args
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
-    args.command = argv[0]
-    return args
+    return args if args is not None else parser.parse_args(argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

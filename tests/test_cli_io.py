@@ -150,6 +150,42 @@ def test_parse_opens_lines_before_the_points_line():
     assert err.value.line == 4 and "unbalanced '{'" in str(err.value)
 
 
+def test_line_reader_reports_in_document_order():
+    """The line reader names the first malformed line, then a carrier over
+    the cap, then the first label of no point, each in document order
+    whether the body lines stand before or after the points line."""
+    unknown_zz = "order mentions unknown element 'zz'"
+    for text, fault, line in (
+            ("space s\norder a < zz\npoints a b\norder yy < a\n", unknown_zz, 2),
+            ("space s\norder a < zz\npoints a b\nbogus\n", "unknown directive 'bogus'", 4),
+            ("space s\nopens {zz}\npoints a b c\nopens {} {a b c}\n",
+             "open mentions unknown point 'zz'", 2),
+            ("space s\norder a < b < zz < yy\npoints a b\n", unknown_zz, 2),
+            # \f does not end a line
+            ("space s\r\npoints a b\r\norder a < b\f< zz\r\n", unknown_zz, 3)):
+        with pytest.raises(DslError) as err:
+            parse(text)
+        assert (str(err.value), err.value.line) == (f"line {line}: {fault}", line)
+    with mock.patch.dict(os.environ, {"TOPOLAB_CAP": "max_points=2"}):
+        with pytest.raises(ResourceCapError, match="a poset of 3 elements"):
+            parse("space s\nopens {zz}\npoints a b c\nopens {} {a b c}\n")
+
+
+def test_symbolic_line_after_a_body_line_is_refused(tmp_path, capsys):
+    """An order or opens line before a symbolic line is refused at the
+    symbolic line, as the same lines in the other order are refused."""
+    for body, form in (("order a < b", "order"), ("opens {} {a}", "opens")):
+        text = f"space s\n{body}\nsymbolic cofinite\n"
+        message = f"line 3: symbolic spaces carry no {form} lines"
+        with pytest.raises(DslError) as err:
+            parse(text)
+        assert (str(err.value), err.value.line) == (message, 3)
+        doc = tmp_path / f"{form}.topo"
+        doc.write_text(text)
+        assert main(["info", str(doc)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_each_malformed_opens_line_names_its_fault_and_line():
     for text, fault, line in (
             ("space s\npoints a b\nopens {} {a {b}} {a b}\n", "nested brace group", 3),
@@ -165,33 +201,28 @@ def test_each_malformed_opens_line_names_its_fault_and_line():
         assert (str(err.value), err.value.line) == (f"line {line}: {fault}", line)
 
 
-def token_scan_opens(rest, lineno, bits):
+def token_scan_opens(rest, lineno):
     """A copy of the opens scanner that read one token at a time, kept as
     the reference for the scanner that reads one brace group per '}'."""
-    masks = []
-    mask = None  # the group being read, or None between groups
-    unknown = None
+    groups = []
+    group = None  # the labels of the group being read, or None between groups
     for token in rest.replace("{", " { ").replace("}", " } ").split():
         if token == "{":
-            if mask is not None:
+            if group is not None:
                 raise DslError("nested brace group", lineno)
-            mask = 0
+            group = []
         elif token == "}":
-            if mask is None:
+            if group is None:
                 raise DslError("unbalanced '}'", lineno)
-            masks.append(mask)
-            mask = None
-        elif mask is None:
+            groups.append(group)
+            group = None
+        elif group is None:
             raise DslError(f"label {token!r} outside braces", lineno)
         else:
-            bit = bits.get(token)
-            if bit is not None:
-                mask |= bit
-            elif unknown is None:
-                unknown = token
-    if mask is not None:
+            group.append(token)
+    if group is not None:
         raise DslError("unbalanced '{'", lineno)
-    return masks, unknown
+    return groups
 
 
 def _scan_outcome(scan, *args):
@@ -217,15 +248,12 @@ _opens_lines = st.one_of(
 @example(["{} {zz} {a b c}"], ["{a} q {"])
 @settings(max_examples=300, deadline=None)
 def test_opens_scanner_matches_the_token_scanner(before, after):
-    """Each line, scanned with and without the points known, and the whole
-    document, with the opens lines before and after the points line, read
-    the same as under the token scanner: the same masks and unknown label,
-    or the same error and line."""
-    bits = {"a": 1, "b": 2, "c": 4}
+    """Each line, and the whole document, with the opens lines before and
+    after the points line, read the same as under the token scanner: the
+    same label groups, or the same error and line."""
     for lineno, rest in enumerate(before + after, start=2):
-        for known in ({}, bits):
-            assert _scan_outcome(cli_io._scan_opens, rest, lineno, known) == \
-                _scan_outcome(token_scan_opens, rest, lineno, known)
+        assert _scan_outcome(cli_io._scan_opens, rest, lineno) == \
+            _scan_outcome(token_scan_opens, rest, lineno)
     text = "".join(["space s\n"] + [f"opens {r}\n" for r in before] + ["points a b c\n"]
                    + [f"opens {r}\n" for r in after])
     got = _scan_outcome(parse, text)
