@@ -411,40 +411,16 @@ def _is_token(text: str, reserved: str) -> bool:
 # JSON rendering
 
 
-@dataclass(frozen=True)
-class MaskLists:
-    """The label lists of `masks`, each lowest bit first, in a document
-    that to_jsonable builds.  Only _dump_json writes it: json.dumps refuses
-    it rather than write the masks as numbers."""
-
-    space: FiniteSpace
-    masks: Sequence[int]
-
-
 def to_jsonable(obj) -> dict:
-    if isinstance(obj, FiniteSpace):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "finite_space",
-            "name": obj.name,
-            "points": list(obj.points),
-            "opens": MaskLists(obj, obj.opens),
-        }
+    """The JSON document of `obj`, as plain dicts, lists and scalars."""
+    if isinstance(obj, (FiniteSpace, ClosedFamily, Reflection)):
+        return json.loads(render_json(obj))
     if isinstance(obj, SymbolicSpace):
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "symbolic_space",
             "variant": obj.variant.value,
             "name": obj.name,
-        }
-    if isinstance(obj, ClosedFamily):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "closed_family",
-            "label": obj.label,
-            "status": "exact",
-            "base": obj.base.name,
-            "members": MaskLists(obj.base, obj.members),
         }
     if isinstance(obj, sym.SymbolicFamily):
         return {
@@ -455,16 +431,6 @@ def to_jsonable(obj) -> dict:
             "status": obj.status,
             "point_closures": True,
             "includes_carrier": obj.includes_all,
-        }
-    if isinstance(obj, Reflection):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "reflection",
-            "category": obj.category.value,
-            "base": to_jsonable(obj.base),
-            "family": to_jsonable(obj.family),
-            "space": to_jsonable(obj.space),
-            "embedding": {p: obj.embedding(p) for p in obj.base.points},
         }
     if isinstance(obj, SymbolicReflection):
         return {
@@ -503,52 +469,110 @@ def to_jsonable(obj) -> dict:
 
 
 def render_json(obj) -> str:
+    """The text of json.dumps(to_jsonable(obj), indent=2, ensure_ascii=False,
+    sort_keys=True).  A finite space, a closed family and a reflection are
+    written straight from their masks; any other object through _dump_json."""
+    if isinstance(obj, FiniteSpace):
+        return _finite_space_json(obj, "\n", {})
+    if isinstance(obj, ClosedFamily):
+        members = _dump_mask_lists(obj.base.points, obj.members, "\n  ", {})
+        return _closed_family_json(obj, "\n", members)
+    if isinstance(obj, Reflection):
+        return _reflection_json(obj)
     return _dump_json(to_jsonable(obj))
 
 
-def _dump_json(value, indent: str = "\n", tables: Optional[dict] = None) -> str:
+# The writers below emit the keys of each object in sorted order, so that
+# their text is the stdlib's; `indent` is the newline and indentation that
+# precede the object's closing brace, as for _dump_json.
+_SCHEMA = encode_basestring(SCHEMA_VERSION)
+
+
+def _finite_space_json(x: FiniteSpace, indent: str, tables: dict) -> str:
+    inner = indent + "  "
+    points = f",{inner}  ".join(map(encode_basestring, x.points))
+    return (f'{{{inner}"kind": "finite_space",{inner}"name": {encode_basestring(x.name)},'
+            f'{inner}"opens": {_dump_mask_lists(x.points, x.opens, inner, tables)},'
+            f'{inner}"points": [{inner}  {points}{inner}],'
+            f'{inner}"schema_version": {_SCHEMA}{indent}}}')
+
+
+def _closed_family_json(fam: ClosedFamily, indent: str, members: str) -> str:
+    """A closed family whose member lists have the text `members`."""
+    inner = indent + "  "
+    return (f'{{{inner}"base": {encode_basestring(fam.base.name)},'
+            f'{inner}"kind": "closed_family",{inner}"label": {encode_basestring(fam.label)},'
+            f'{inner}"members": {members},{inner}"schema_version": {_SCHEMA},'
+            f'{inner}"status": "exact"{indent}}}')
+
+
+def _reflection_json(r: Reflection) -> str:
+    """A reflection at the top of a text: its base and family share label
+    tables, as both list masks of the base at one depth."""
+    tables: dict = {}
+    base, targets = r.base, r.space.points
+    embedding = sorted(zip(base.points, [targets[k] for k in r.embedding.mapping]))
+    members = _dump_mask_lists(base.points, r.family.members, "\n    ", tables)
+    return ('{\n  "base": ' + _finite_space_json(base, "\n  ", tables)
+            + f',\n  "category": {encode_basestring(r.category.value)},\n  "embedding": {{\n    '
+            + ",\n    ".join([f"{encode_basestring(p)}: {encode_basestring(q)}"
+                               for p, q in embedding])
+            + '\n  },\n  "family": ' + _closed_family_json(r.family, "\n  ", members)
+            + ',\n  "kind": "reflection",\n  "schema_version": ' + _SCHEMA
+            + ',\n  "space": ' + _finite_space_json(r.space, "\n  ", tables) + "\n}")
+
+
+def _families_json(space: FiniteSpace, fams: dict[str, ClosedFamily]) -> str:
+    """The `families --json` table: families that share a member list
+    share its text, written once."""
+    tables: dict = {}
+    texts: dict[tuple[int, ...], str] = {}
+    rows = []
+    for key, fam in sorted(fams.items()):
+        members = texts.get(fam.members)
+        if members is None:
+            members = texts[fam.members] = _dump_mask_lists(
+                space.points, fam.members, "\n      ", tables)
+        rows.append(f"{encode_basestring(key)}: "
+                    + _closed_family_json(fam, "\n    ", members))
+    return ('{\n  "families": {\n    ' + ",\n    ".join(rows)
+            + '\n  },\n  "kind": "families",\n  "schema_version": ' + _SCHEMA
+            + f',\n  "space": {encode_basestring(space.name)}\n}}')
+
+
+def _dump_json(value, indent: str = "\n") -> str:
     """The text of json.dumps(value, indent=2, ensure_ascii=False,
-    sort_keys=True) for a value with string keys, with each MaskLists
-    written as its label lists.  The stdlib leaves its C encoder whenever
-    `indent` is set; here every string goes through the C string encoder.
-    `indent` is the newline and indentation that precede the value's
-    closing bracket; `tables` keeps the label tables and the written leaves
-    of this one text."""
+    sort_keys=True) for a value with string keys.  The stdlib leaves its C
+    encoder whenever `indent` is set; here every string goes through the C
+    string encoder.  `indent` is the newline and indentation that precede
+    the value's closing bracket."""
     if isinstance(value, str):
         return encode_basestring(value)
-    if tables is None:
-        tables = {}
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
         return "{" + inner + ("," + inner).join(
-            encode_basestring(k) + ": " + _dump_json(v, inner, tables)
+            encode_basestring(k) + ": " + _dump_json(v, inner)
             for k, v in sorted(value.items())) + indent + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        return "[" + inner + ("," + inner).join([_dump_json(v, inner, tables) for v in value]) \
+        return "[" + inner + ("," + inner).join([_dump_json(v, inner) for v in value]) \
             + indent + "]"
-    if isinstance(value, MaskLists):
-        # the families of `families --json` are one list of point closures
-        key = (value.space.points, indent, tuple(value.masks))
-        text = tables.get(key)
-        if text is None:
-            text = tables[key] = _dump_mask_lists(value, indent, tables)
-        return text
     return json.dumps(value)
 
 
-def _dump_mask_lists(leaf: MaskLists, indent: str, tables: dict) -> str:
-    """_dump_json's text of the label lists of `leaf`, one list pass per
-    block of six points.  The table of a block holds the 64 runs of its
-    encoded labels, each label after its separator; every leaf on the same
-    points and indentation in one text shares them."""
-    if not leaf.masks:
+def _dump_mask_lists(points: tuple[str, ...], masks: Sequence[int], indent: str,
+                     tables: dict) -> str:
+    """The text of the label lists of `masks`, each lowest bit first, as a
+    value whose closing bracket `indent` precedes: one list pass per block
+    of six points.  The table of a block holds the 64 runs of its encoded
+    labels, each label after its separator; every list on the same points
+    and indentation in one text shares them through `tables`."""
+    if not masks:
         return "[]"
     inner = indent + "  "
-    points, masks = leaf.space.points, leaf.masks
     blocks = tables.get((points, indent))
     if blocks is None:
         blocks = tables[points, indent] = []
@@ -1217,12 +1241,7 @@ def _cmd_families(args, caps: Caps) -> int:
     for c in ALL_CATEGORIES:
         fams[c.family_label] = k_family(space, c)
     if args.json:
-        print(_dump_json({
-            "schema_version": SCHEMA_VERSION,
-            "kind": "families",
-            "space": space.name,
-            "families": {k: to_jsonable(v) for k, v in fams.items()},
-        }))
+        print(_families_json(space, fams))
     else:
         texts: dict[tuple[int, ...], str] = {}  # the seven share one member list
         for label, fam in fams.items():
@@ -1284,9 +1303,9 @@ def _cmd_check(args, caps: Caps) -> int:
                 f"property {name!r} is not available for symbolic spaces; "
                 f"choose from {', '.join(sorted(known))}")
         if args.json:
-            print(json.dumps({"schema_version": SCHEMA_VERSION, "kind": "check",
+            print(_dump_json({"schema_version": SCHEMA_VERSION, "kind": "check",
                               "space": space.variant.value, "property": name,
-                              "value": known[name]}, sort_keys=True))
+                              "value": known[name]}))
         else:
             print(f"{name} = {known[name]}")
         return 0
@@ -1296,9 +1315,9 @@ def _cmd_check(args, caps: Caps) -> int:
             f"unknown property {name!r}; choose from {', '.join(PREDICATE_NAMES)}")
     value = report.flag(name)
     if args.json:
-        print(json.dumps({"schema_version": SCHEMA_VERSION, "kind": "check",
+        print(_dump_json({"schema_version": SCHEMA_VERSION, "kind": "check",
                           "space": space.name, "property": name, "value": value,
-                          "witness": report.witnesses.get(name, "")}, sort_keys=True))
+                          "witness": report.witnesses.get(name, "")}))
     else:
         witness = report.witnesses.get(name)
         print(f"{name} = {value}" + (f"  ({witness})" if witness else ""))

@@ -15,6 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_core_space import wide_orders
 from test_oracles import orders
 
 from topolab import (
@@ -44,7 +45,6 @@ from topolab import cli_io
 from topolab.caps import Caps
 from topolab.core_space import bit_indices
 from topolab.cli_io import (
-    MaskLists,
     _dump_json,
     build_parser,
     main,
@@ -664,46 +664,122 @@ def _label_lists(labels, masks) -> list[list[str]]:
 
 @st.composite
 def _mask_documents(draw):
-    """A document of one to three MaskLists leaves, on carriers of one to
-    four label blocks, at depths 1 to 3, and the same document with each
-    leaf written out as plain label lists."""
+    """A document of one to three mask-list leaves, each (points, masks),
+    on carriers of one to four label blocks, at depths 1 to 3, and the same
+    document with each leaf written out as plain label lists."""
     doc, plain = {}, {}
     for key in "abc"[:draw(st.integers(1, 3))]:
         n = draw(st.sampled_from((1, 6, 7, 12, 13, 19)))
         masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
-        leaf = MaskLists(from_poset(_odd_labels(n), [], Caps(max_points=19)), tuple(masks))
-        lists = _label_lists(_odd_labels(n), masks)
+        leaf, lists = (tuple(_odd_labels(n)), tuple(masks)), _label_lists(_odd_labels(n), masks)
         for _ in range(draw(st.integers(0, 2))):
             leaf, lists = {"in": leaf}, {"in": lists}
         doc[key], plain[key] = leaf, lists
     return doc, plain
 
 
+def _dump_mask_document(doc) -> str:
+    """The text of `doc` with each (points, masks) leaf written by
+    _dump_mask_lists at its depth, all leaves sharing one table store."""
+    leaves, tables = {}, {}
+
+    def mark(value, depth):
+        if isinstance(value, dict):
+            return {k: mark(v, depth + 1) for k, v in value.items()}
+        leaves[f"@leaf{len(leaves)}@"] = value, "\n" + "  " * depth
+        return f"@leaf{len(leaves) - 1}@"
+
+    text = _dump_json(mark(doc, 0))
+    for mark_text, ((points, masks), indent) in leaves.items():
+        text = text.replace(json.dumps(mark_text),
+                            cli_io._dump_mask_lists(points, masks, indent, tables))
+    return text
+
+
 @given(_mask_documents())
 @settings(max_examples=150, deadline=None)
-@example(({"a": MaskLists(from_poset(["x"], []), (0, 1))}, {"a": [[], ["x"]]}))  # the empty open
-@example(({"a": MaskLists(from_poset(["x"], []), ())}, {"a": []}))  # no members
-@example(({"a": MaskLists(from_poset(["x", "y"], []), (3,)),  # one carrier at two depths
-           "b": {"in": MaskLists(from_poset(["x", "y"], []), (1,))}},
+@example(({"a": (("x",), (0, 1))}, {"a": [[], ["x"]]}))  # the empty open
+@example(({"a": (("x",), ())}, {"a": []}))  # no members
+@example(({"a": (("x", "y"), (3,)),  # one carrier at two depths
+           "b": {"in": (("x", "y"), (1,))}},
           {"a": [["x", "y"]], "b": {"in": [["x"]]}}))
-@example(({"a": MaskLists(from_poset(["x", "y"], []), (1, 3)),  # one list at two depths
-           "b": {"in": MaskLists(from_poset(["x", "y"], []), (1, 3))}},
+@example(({"a": (("x", "y"), (1, 3)),  # one list at two depths
+           "b": {"in": (("x", "y"), (1, 3))}},
           {"a": [["x"], ["x", "y"]], "b": {"in": [["x"], ["x", "y"]]}}))
 def test_mask_lists_are_written_as_the_labels_of_their_set_bits(case):
+    """_dump_mask_lists writes each mask as the labels of its set bits,
+    lowest bit first, in the stdlib's text at any depth, with leaves on one
+    carrier sharing their label tables."""
     doc, plain = case
-    assert _dump_json(doc) == _stdlib_json(plain)
+    assert _dump_mask_document(doc) == _stdlib_json(plain)
 
 
 def test_mask_lists_are_not_plain_json():
-    """The stdlib refuses a MaskLists leaf; at the top of a text, _dump_json
-    writes it as at any other depth."""
+    """Masks are never written as JSON numbers: to_jsonable gives a space's
+    opens as label lists, and at the top of a text _dump_mask_lists writes
+    them as at any other depth."""
     x = from_poset(_odd_labels(13), [], Caps(max_points=13))
     masks = (0, 1, 1 << 12, (1 << 13) - 1, 0b1000001000001)
-    with pytest.raises(TypeError, match="not JSON serializable"):
-        json.dumps(MaskLists(x, masks))
-    with pytest.raises(TypeError, match="not JSON serializable"):
-        json.dumps(to_jsonable(x))
-    assert _dump_json(MaskLists(x, masks)) == _stdlib_json(_label_lists(x.points, masks))
+    assert to_jsonable(x)["opens"] == _label_lists(x.points, x.opens)
+    assert json.dumps(to_jsonable(x)) == json.dumps(json.loads(render_json(x)))
+    assert cli_io._dump_mask_lists(x.points, masks, "\n", {}) \
+        == _stdlib_json(_label_lists(x.points, masks))
+
+
+@st.composite
+def _odd_orders(draw):
+    """Orders on carriers of one, two and three label blocks (1, 6, 7, 12
+    and 13 points) with labels that JSON escapes, and with labels that no
+    space document can hold; pairs i < j are edges with probability 1/2."""
+    n = draw(st.sampled_from((1, 6, 7, 12, 13)))
+    labels = _odd_labels(n)
+    pairs = [(labels[i], labels[j]) for i, j in itertools.combinations(range(n), 2)
+             if draw(st.booleans())]
+    return from_poset(labels, pairs, Caps(max_points=13))
+
+
+def _cli_json(argv, x) -> str:
+    """The output of `main(argv + ["--json"])` with SPACE read as `x`."""
+    out = io.StringIO()
+    with mock.patch.object(cli_io, "_load_space", lambda spec: x), \
+            contextlib.redirect_stdout(out):
+        assert main(argv + ["--json"]) == 0, argv
+    return out.getvalue()
+
+
+@given(st.one_of(orders(), wide_orders(), _odd_orders()), st.sampled_from(("sob", "d", "wf")))
+@settings(max_examples=60, deadline=None)
+@example(from_poset(["x"], []), "sob")
+@example(from_poset(_odd_labels(13), [], Caps(max_points=13)), "wf")  # 8,192 opens
+def test_json_answers_list_the_labels_of_their_masks(x, category):
+    """`info`, `families` and `reflect --json` print the stdlib's indented
+    text of their document, and every open and member list in it, at every
+    depth, is the labels of its mask, lowest bit first.  to_jsonable gives
+    the same document as plain JSON."""
+    from topolab import directed_closures, irreducible_closed, k_family, reflect, rudin_sets
+    from topolab.families import ALL_CATEGORIES
+
+    with mock.patch.dict(os.environ, {"TOPOLAB_CAP": "max_points=13"}):
+        info, fams, refl = (_cli_json(argv, x) for argv in (
+            ["info", "X"], ["families", "X"], ["reflect", "X", "--category", category]))
+        r = reflect(x, cli_io._CATEGORY_FLAGS[category])
+        expected = {"S_c": point_closures(x), "D_c": directed_closures(x),
+                    "RD": rudin_sets(x).family, "Irr_c": irreducible_closed(x)}
+        expected.update((c.family_label, k_family(x, c)) for c in ALL_CATEGORIES)
+    for text in (info, fams, refl):
+        assert text == _stdlib_json(json.loads(text)) + "\n"
+    info, fams, refl = map(json.loads, (info, fams, refl))
+    assert info["opens"] == _label_lists(x.points, x.opens)
+    assert info == to_jsonable(x) and json.loads(json.dumps(to_jsonable(x))) == info
+    assert fams["families"].keys() == expected.keys()
+    for key, fam in expected.items():
+        assert fams["families"][key]["members"] == _label_lists(x.points, fam.members), key
+        assert fams["families"][key] == to_jsonable(fam), key
+    assert refl["base"] == info
+    assert refl["family"]["members"] == _label_lists(x.points, r.family.members)
+    assert refl["space"]["opens"] == _label_lists(r.space.points, r.space.opens)
+    assert refl["embedding"] == {p: r.embedding(p) for p in x.points}
+    assert refl == to_jsonable(r)
 
 
 def test_json_of_spaces_past_two_label_blocks(monkeypatch):
@@ -736,6 +812,7 @@ def test_json_of_spaces_past_two_label_blocks(monkeypatch):
 def _golden_argvs(spec: str, symbolic: bool) -> list[list[str]]:
     argvs = [["info", spec], ["families", spec]]
     argvs += [["reflect", spec, "--category", c] for c in ("sob", "d", "wf")]
+    argvs += [["check", spec, "--property", p] for p in ("sober", "compact")]
     if not symbolic:
         argvs.append(["product", spec, "zoo:sierpinski"])
     return argvs
@@ -747,7 +824,7 @@ def test_cli_json_outputs_keep_the_stdlib_text(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("TOPOLAB_CAP", "16")  # the products of the wide spaces
     labels = [f"p{i}" for i in range(8)]
     antichain = tmp_path / "antichain.topo"
-    antichain.write_text(f"space antichain\npoints {' '.join(labels[:7])}\n")
+    antichain.write_text(f"space é-antichain\npoints {' '.join(labels[:7])}\n", encoding="utf-8")
     sparse = tmp_path / "sparse.topo"  # four disjoint 2-chains: 81 opens
     sparse.write_text(f"space sparse\npoints {' '.join(labels)}\n"
                       + "".join(f"order p{i} < p{i + 4}\n" for i in range(4)))

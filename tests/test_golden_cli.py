@@ -88,40 +88,40 @@ def _all_digests(tmp_path, capsys) -> dict[str, str]:
     return digests
 
 
-GOLDEN = {  # taken before the bulk label tables and the one-pass opens scanner
-    "zoo:cofinite": "8b2f0c897babdcd92cd03ff448de20bc894de432d673b7342f59416d525fd722",
-    "zoo:diamond": "1f3a785220e41f5d16818cf85009ce5ecd651ac6d87c5708a2c15e74e2be3b0e",
-    "zoo:discrete2": "4ebee941cb36640c7d6009466ff79ff8006bed9a37ed6078dc9ed03e6d60ecbe",
-    "zoo:omega_chain": "8879c9288f0c6276fef2bdb01f81c76adc24403d4f1fc347d76314a167346257",
-    "zoo:sierpinski": "b8df79abd57402a0e84f57c1b69b82d75aab03c28e633d7cd37b1f7c417a5a76",
-    "zoo:vee": "c9f6f4d0aa88f80e31884638fdb2a9ba283704de599979a584d644b922b58134",
-    "zoo:wedge": "f63d5f2e8f3818022dee26d2c5da7b5d6968c2a93033a339d9b6850fb0511bea",
-    "rand-1-4.order": "4bbdc59f12221f86769c65ff1980787577162bd31e8616b1cb7169c1880b9939",
-    "rand-1-4.opens": "4bbdc59f12221f86769c65ff1980787577162bd31e8616b1cb7169c1880b9939",
-    "rand-2-5.order": "23c2149570e6aa06f018c7c9e7e7d6b3f3c0d794f94ec6d4671c74c620fc7009",
-    "rand-2-5.opens": "23c2149570e6aa06f018c7c9e7e7d6b3f3c0d794f94ec6d4671c74c620fc7009",
-    "rand-3-6.order": "687423c0dbe003b274695314ef333880fd2fd47cc42be0865700bf21d8bbd5a3",
-    "rand-3-6.opens": "687423c0dbe003b274695314ef333880fd2fd47cc42be0865700bf21d8bbd5a3",
-    "rand-4-7.order": "7d0624d2a4ab6861f3089a6b763ae142d027a62336eb1622f3677c8e4b349ae0",
-    "rand-4-7.opens": "7d0624d2a4ab6861f3089a6b763ae142d027a62336eb1622f3677c8e4b349ae0",
-    "rand-5-8.order": "a006369657cfff60b97fbcc54df3ff1392fa76e9d16ac7faa01c0d96717835e5",
-    "rand-5-8.opens": "a006369657cfff60b97fbcc54df3ff1392fa76e9d16ac7faa01c0d96717835e5",
-    "rand-6-9.order": "8efeacef10af878b29407c25e75629d1359dfd9bd57bc137c7ef0c353f270dbe",
-    "rand-6-9.opens": "8efeacef10af878b29407c25e75629d1359dfd9bd57bc137c7ef0c353f270dbe",
-    "rand-7-9.order": "764ecd639a2ecc8e72bb31d992b5590f092b6357cb67bc9116658c62db8e1a65",
-    "rand-7-9.opens": "764ecd639a2ecc8e72bb31d992b5590f092b6357cb67bc9116658c62db8e1a65",
-    "rand-8-10.order": "eb1c1bd131a8602e001ec210582954ca81df16c09e45ef421f1a1e40af22590a",
-    "rand-8-10.opens": "eb1c1bd131a8602e001ec210582954ca81df16c09e45ef421f1a1e40af22590a",
-    "rand-9-10.order": "12eb34dc116a40b10890c4aa941edd77a832ed96805ada31408a77e4b4193a96",
-    "rand-9-10.opens": "12eb34dc116a40b10890c4aa941edd77a832ed96805ada31408a77e4b4193a96",
-    "rand-10-11.order": "21d15f7f58fffd3ea86e52048b00017b47e4eda7259abb2f3995b0d33382f0b5",
-    "rand-10-11.opens": "21d15f7f58fffd3ea86e52048b00017b47e4eda7259abb2f3995b0d33382f0b5",
-    "rand-11-12.order": "9d8d82d70b1c54ec59fbe98b29c80873949052f08d20ddf8263462e611c81c3a",
-    "rand-11-12.opens": "9d8d82d70b1c54ec59fbe98b29c80873949052f08d20ddf8263462e611c81c3a",
-    "rand-12-12.order": "c86a32577b3074b5a60a264fa8a5b1a5c329cb271da51c09c6cc8b25316c35fb",
-    "rand-12-12.opens": "c86a32577b3074b5a60a264fa8a5b1a5c329cb271da51c09c6cc8b25316c35fb",
-    "antichain9": "069025bbb1d7ab2495df1ae9db736dfd30c2c19050ef18ebcb7bbb7bb343a7c3",
-    "chains9": "4fcd7b67e9b9b60831e4393b025f249b82694d9076b50b70fd5461fbccc45e8f",
+GOLDEN = {  # retaken when `check --json` became indented text like every other --json output
+    "zoo:cofinite": "33456edbe88d446044f533c782d460633dfd72ce3cde8341175ce5f05c5ef8a3",
+    "zoo:diamond": "64252807a784f39875b0b0db82f3f1f63266f71aa3c713c87d223465a56f6720",
+    "zoo:discrete2": "29cd9fc6d81e1e2c97a3724a763d4d3827c9faa27acc72afd41789be2b0af9fd",
+    "zoo:omega_chain": "aa168ad06cee60088a612d42a7fef1be9fdb82ed90fa04a6c681941f2e101327",
+    "zoo:sierpinski": "9c8499a5397c38c457f51fadb734333b8b846567d30d4eee963ddf4fd7372f7f",
+    "zoo:vee": "72ff732c54917c7b89a71b821caee317e5bcd88d5d652ee8ce3694bbb8b499ad",
+    "zoo:wedge": "428b2893bd8262ce171ff440dbeb11a5c93a9d86202e9b0ffcbd016e889e57fa",
+    "rand-1-4.order": "214e6b469ba1fed6806c0e251eca5fc5908a17a38f9281bd349b0209069f8170",
+    "rand-1-4.opens": "214e6b469ba1fed6806c0e251eca5fc5908a17a38f9281bd349b0209069f8170",
+    "rand-2-5.order": "7a42622cff9a70e9fcadea6d70681e66834a04c3f028a98bb4b5e8addab4ba8d",
+    "rand-2-5.opens": "7a42622cff9a70e9fcadea6d70681e66834a04c3f028a98bb4b5e8addab4ba8d",
+    "rand-3-6.order": "54c9da0ecce216b519e03e8ef57b3794716f5ea1ed5b00b692289349fd3930c9",
+    "rand-3-6.opens": "54c9da0ecce216b519e03e8ef57b3794716f5ea1ed5b00b692289349fd3930c9",
+    "rand-4-7.order": "72d8c04c27356b33931c534f07809f1de5d0d27a14882f79d7d1fe3e6b0217e7",
+    "rand-4-7.opens": "72d8c04c27356b33931c534f07809f1de5d0d27a14882f79d7d1fe3e6b0217e7",
+    "rand-5-8.order": "cc46cfa144f53ce38f42da428645a307dfec2120ff3da168dd5bf2bb9f870ac9",
+    "rand-5-8.opens": "cc46cfa144f53ce38f42da428645a307dfec2120ff3da168dd5bf2bb9f870ac9",
+    "rand-6-9.order": "11a2c53d384aedf41617e06ab7cdd8168e1364f6851df81a442f99a220ce6da2",
+    "rand-6-9.opens": "11a2c53d384aedf41617e06ab7cdd8168e1364f6851df81a442f99a220ce6da2",
+    "rand-7-9.order": "3a02cd9607aca87320032a744e55f6a733293b636d50cb772b6beefe722b135c",
+    "rand-7-9.opens": "3a02cd9607aca87320032a744e55f6a733293b636d50cb772b6beefe722b135c",
+    "rand-8-10.order": "6163c08e9c9aa970c7789435eaa05a99f2b1362da01ddae15b14adcf43b3e0f8",
+    "rand-8-10.opens": "6163c08e9c9aa970c7789435eaa05a99f2b1362da01ddae15b14adcf43b3e0f8",
+    "rand-9-10.order": "0a643a0f00588893212eef1f166902fe5ed02e4d35e45e3a6ea2ad6a7bec1e27",
+    "rand-9-10.opens": "0a643a0f00588893212eef1f166902fe5ed02e4d35e45e3a6ea2ad6a7bec1e27",
+    "rand-10-11.order": "5ff8991af072d9283701ae235f4a7012854d00370fadf78d814bd53ebfc5106f",
+    "rand-10-11.opens": "5ff8991af072d9283701ae235f4a7012854d00370fadf78d814bd53ebfc5106f",
+    "rand-11-12.order": "9ecabee93ce08e454e97ee746f937bbcdfb329355bd38bb69aa659f0ecd10ffb",
+    "rand-11-12.opens": "9ecabee93ce08e454e97ee746f937bbcdfb329355bd38bb69aa659f0ecd10ffb",
+    "rand-12-12.order": "8f655951981cfabd52adb22ab2daf7f9147efb04a2b64dc0e79fc413395336ac",
+    "rand-12-12.opens": "8f655951981cfabd52adb22ab2daf7f9147efb04a2b64dc0e79fc413395336ac",
+    "antichain9": "f89888cc32b50eced686248984810a4f8f1c3599123b692935b62a9edf456080",
+    "chains9": "216a22cc7cea90d31fcb4a777335790061d513403d3910608ae8c1b9ad97df2d",
 }
 
 
