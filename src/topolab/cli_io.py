@@ -17,7 +17,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from json.encoder import encode_basestring
 from typing import Callable, Optional, Sequence, Union
 
@@ -185,14 +185,6 @@ def zoo_space(name: str) -> Space:
 # the space DSL
 
 
-_SYMBOLIC_NAMES = {
-    "omega_chain": SymbolicVariant.OMEGA_CHAIN,
-    "omega_plus_one": SymbolicVariant.OMEGA_PLUS_ONE,
-    "cofinite": SymbolicVariant.COFINITE,
-    "cofinite_plus_top": SymbolicVariant.COFINITE_PLUS_TOP,
-}
-
-
 def parse(text: str) -> Space:
     """Parse a space document.
 
@@ -289,17 +281,17 @@ def _parse_lines(text: str) -> Space:
             continue
         if head == "symbolic":
             tokens = line.split()
-            if len(tokens) != 2 or tokens[1] not in _SYMBOLIC_NAMES:
-                raise DslError(
-                    f"expected 'symbolic VARIANT' with VARIANT one of "
-                    f"{', '.join(sorted(_SYMBOLIC_NAMES))}", lineno)
+            variants = sorted(v.value for v in SymbolicVariant)
+            if len(tokens) != 2 or tokens[1] not in variants:
+                raise DslError("expected 'symbolic VARIANT' with VARIANT one of "
+                               + ", ".join(variants), lineno)
             if points is not None:
                 raise DslError("symbolic spaces carry no point list", lineno)
             if form == "symbolic":
                 raise DslError("duplicate symbolic line", lineno)
             if form is not None:
                 raise DslError(f"symbolic spaces carry no {form} lines", lineno)
-            form, variant = head, _SYMBOLIC_NAMES[tokens[1]]
+            form, variant = head, SymbolicVariant(tokens[1])
             continue
         if head == "points":
             if form == "symbolic":
@@ -454,16 +446,7 @@ def to_jsonable(obj) -> dict:
             "schema_version": SCHEMA_VERSION,
             "kind": "verify_report",
             "ok": obj.ok,
-            "suites": [
-                {
-                    "name": s.name,
-                    "passed": s.passed,
-                    "failed": s.failed,
-                    "skipped": s.skipped,
-                    "notes": list(s.notes),
-                }
-                for s in obj.suites
-            ],
+            "suites": [asdict(s) for s in obj.suites],
         }
     raise ValidationError(f"no JSON form for {type(obj).__name__}")
 
@@ -484,7 +467,7 @@ def render_json(obj) -> str:
 
 # The writers below emit the keys of each object in sorted order, so that
 # their text is the stdlib's; `indent` is the newline and indentation that
-# precede the object's closing brace, as for _dump_json.
+# precede the object's closing brace.
 _SCHEMA = encode_basestring(SCHEMA_VERSION)
 
 
@@ -540,27 +523,9 @@ def _families_json(space: FiniteSpace, fams: dict[str, ClosedFamily]) -> str:
             + f',\n  "space": {encode_basestring(space.name)}\n}}')
 
 
-def _dump_json(value, indent: str = "\n") -> str:
-    """The text of json.dumps(value, indent=2, ensure_ascii=False,
-    sort_keys=True) for a value with string keys.  The stdlib leaves its C
-    encoder whenever `indent` is set; here every string goes through the C
-    string encoder.  `indent` is the newline and indentation that precede
-    the value's closing bracket."""
-    if isinstance(value, str):
-        return encode_basestring(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        return "{" + inner + ("," + inner).join(
-            encode_basestring(k) + ": " + _dump_json(v, inner)
-            for k, v in sorted(value.items())) + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_dump_json(v, inner) for v in value]) \
-            + indent + "]"
-    return json.dumps(value)
+def _dump_json(value) -> str:
+    """The `--json` text of a document of plain dicts, lists and scalars."""
+    return json.dumps(value, indent=2, ensure_ascii=False, sort_keys=True)
 
 
 def _dump_mask_lists(points: tuple[str, ...], masks: Sequence[int], indent: str,
@@ -1253,13 +1218,9 @@ def _cmd_families(args, caps: Caps) -> int:
     return 0
 
 
-_CATEGORY_FLAGS = {"sob": CategoryTag.SOBRIETY, "d": CategoryTag.D_SPACE,
-                   "wf": CategoryTag.WELL_FILTERED}
-
-
 def _cmd_reflect(args, caps: Caps) -> int:
     space = _load_space(args.space)
-    c = _CATEGORY_FLAGS[args.category]
+    c = CategoryTag(args.category)
     if isinstance(space, SymbolicSpace):
         r = sym_reflect(space, c)
         _emit(args, r, lambda: (
@@ -1284,8 +1245,9 @@ def _cmd_reflect(args, caps: Caps) -> int:
 def _cmd_product(args, caps: Caps) -> int:
     spaces = [_load_space(s) for s in args.spaces]
     if any(isinstance(s, SymbolicSpace) for s in spaces):
-        raise ValidationError("the product command takes finite spaces; "
-                              "symbolic products are covered by `check`")
+        raise ValidationError("the product command takes finite spaces; symbolic "
+                              "products are tested by verify's product_theorems "
+                              "suite and by check_kspace_product")
     p = product(spaces, caps)
     _emit(args, p, lambda: _space_summary(p))
     return 0
@@ -1295,9 +1257,7 @@ def _cmd_check(args, caps: Caps) -> int:
     space = _load_space(args.space)
     name = args.property
     if isinstance(space, SymbolicSpace):
-        preds = sym_predicates(space)
-        known = {"sober": preds.sober, "d_space": preds.d_space,
-                 "well_filtered": preds.well_filtered, "compact": preds.compact}
+        known = asdict(sym_predicates(space))
         if name not in known:
             raise ValidationError(
                 f"property {name!r} is not available for symbolic spaces; "
@@ -1343,10 +1303,11 @@ def _cmd_verify(args, caps: Caps) -> int:
         tags = []
         for part in args.categories.split(","):
             part = part.strip()
-            if part not in _CATEGORY_FLAGS:
-                raise ValidationError(
-                    f"unknown category {part!r}; use sob, d, wf")
-            tags.append(_CATEGORY_FLAGS[part])
+            try:
+                tags.append(CategoryTag(part))
+            except ValueError:
+                raise ValidationError(f"unknown category {part!r}; use "
+                                      + ", ".join(c.value for c in CategoryTag)) from None
         categories = tuple(tags)
     config = VerifyConfig(
         seed=args.seed,
@@ -1434,7 +1395,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_space_cmd("info", "summarize a space")
     add_space_cmd("families", "print the canonical closed-set families")
     add_space_cmd("reflect", "build a reflection",
-                  option=("--category", {"choices": sorted(_CATEGORY_FLAGS), "required": True}))
+                  option=("--category", {"choices": sorted(c.value for c in CategoryTag),
+                                         "required": True}))
     add_space_cmd("product", "product of finite spaces", nargs="+")
     add_space_cmd("check", "evaluate a space property",
                   option=("--property", {"required": True, "metavar": "NAME"}))

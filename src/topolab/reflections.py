@@ -64,7 +64,7 @@ def extend(f: ContinuousMap, r: Reflection) -> ContinuousMap:
     if f.source != r.base:
         raise ValidationError("map source must be the reflected space")
     y = f.target
-    closure_to_point = {y.down_masks[i]: i for i in range(y.n)}
+    closure_to_point = y._closure_points
     mapping = []
     for a in r.family.members:
         cl_image = y.closure(f.image_mask(a))

@@ -597,57 +597,9 @@ def test_json_for_symbolic(sierpinski):
         to_jsonable(object())
 
 
-class _Str(str):
-    pass
-
-
-class _Dict(dict):
-    pass
-
-
-class _List(list):
-    pass
-
-
 def _stdlib_json(value) -> str:
     """The indented text the JSON outputs have always had."""
     return json.dumps(value, indent=2, ensure_ascii=False, sort_keys=True)
-
-
-_json_text = st.text(st.one_of(
-    st.characters(), st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\u2603\U0001d4b3')),
-    max_size=8)
-_json_strings = st.one_of(_json_text, _json_text.map(_Str))
-_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _json_strings)
-_string_lists = st.one_of(st.lists(_json_strings, max_size=4),
-                          st.lists(_json_strings, max_size=4).map(tuple))
-_json_values = st.recursive(_json_scalars, lambda children: st.one_of(
-    st.lists(_json_strings),
-    st.lists(_string_lists, max_size=4),  # lists of string lists, empty lists included
-    st.lists(st.one_of(_string_lists, children), max_size=4),  # among other values
-    st.lists(st.lists(st.one_of(_json_strings, children), max_size=3), max_size=3),
-    st.lists(children),
-    st.lists(children).map(tuple),
-    st.lists(children).map(_List),
-    st.dictionaries(_json_strings, children),
-    st.dictionaries(_json_strings, children).map(_Dict),
-), max_leaves=12)
-
-
-@given(_json_values)
-@settings(max_examples=100, deadline=None)
-@example({"k": [["a", "b"], [], ["c"]]})
-@example([[], [("a",)], ["b"]])
-@example([["a"], "b"])  # a string among string lists is not a list of its characters
-@example([["a"], ""])
-@example([["a"], 0])
-@example([["a"], None])
-@example([["a"], {"k": "v"}])
-@example([["a"], ["b", 1]])
-@example([["a"], [["b"]]])
-@example([["a", _Str("a")], _List(["b"])])
-def test_json_writer_matches_the_stdlib(value):
-    assert _dump_json(value) == _stdlib_json(value)
 
 
 _ODD_LABELS = ['q"', "b\\", "é", "☃", "𝒳", "tab\t", "/", "\u2028"]
@@ -757,12 +709,12 @@ def test_json_answers_list_the_labels_of_their_masks(x, category):
     depth, is the labels of its mask, lowest bit first.  to_jsonable gives
     the same document as plain JSON."""
     from topolab import directed_closures, irreducible_closed, k_family, reflect, rudin_sets
-    from topolab.families import ALL_CATEGORIES
+    from topolab.families import ALL_CATEGORIES, CategoryTag
 
     with mock.patch.dict(os.environ, {"TOPOLAB_CAP": "max_points=13"}):
         info, fams, refl = (_cli_json(argv, x) for argv in (
             ["info", "X"], ["families", "X"], ["reflect", "X", "--category", category]))
-        r = reflect(x, cli_io._CATEGORY_FLAGS[category])
+        r = reflect(x, CategoryTag(category))
         expected = {"S_c": point_closures(x), "D_c": directed_closures(x),
                     "RD": rudin_sets(x).family, "Irr_c": irreducible_closed(x)}
         expected.update((c.family_label, k_family(x, c)) for c in ALL_CATEGORIES)
@@ -1328,7 +1280,25 @@ def test_cli_zoo_reflect_product_families(capsys):
     assert "4 points" in capsys.readouterr().out
     assert main(["families", "zoo:vee"]) == 0
     assert "Irr_c" in capsys.readouterr().out
+    # `product` builds finite products only, and names what tests the others
     assert main(["product", "zoo:cofinite", "zoo:vee"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the product command takes finite spaces; symbolic products are "
+        "tested by verify's product_theorems suite and by check_kspace_product\n")
+
+
+def test_category_and_variant_names_reach_the_user_unchanged(capsys):
+    """The names a user types for a category or a symbolic variant, and the
+    errors that list them."""
+    reflect_table = build_parser().argv_tables["reflect"]
+    assert reflect_table.options["--category"].choices == ["d", "sob", "wf"]
+    assert main(["verify", "--categories", "sob,x"]) == 2
+    assert capsys.readouterr().err == "error: unknown category 'x'; use sob, d, wf\n"
+    with pytest.raises(DslError) as err:
+        parse("space s\n# no such variant\nsymbolic nope\n")
+    assert (str(err.value), err.value.line) == (
+        "line 3: expected 'symbolic VARIANT' with VARIANT one of cofinite, "
+        "cofinite_plus_top, omega_chain, omega_plus_one", 3)
 
 
 def test_cli_symbolic_families_json_matches_plain(capsys):

@@ -11,6 +11,7 @@ functools.cached_property's lock."""
 import ast
 import importlib
 import importlib.util
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -230,16 +231,33 @@ def test_benchmark_trace_names_are_bound():
     assert not unbound, f"perfbench/tracing.py wraps unbound names: {', '.join(unbound)}"
 
 
+def _indented_dumps(tree: ast.AST) -> list[ast.Call]:
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps")
+            and any(k.arg == "indent" for k in node.keywords)]
+
+
+def _keywords(call: ast.Call) -> dict:
+    return {k.arg: ast.literal_eval(k.value) for k in call.keywords}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_indented_json_dumps(path):
-    """Indented JSON goes through `cli_io._dump_json`: the stdlib's encoder
-    runs in pure Python whenever `indent` is set."""
+    """Indented JSON has one writer: `cli_io._dump_json` calls json.dumps
+    with the arguments that README gives for the `--json` text, and no
+    other code of the package calls it with `indent=`."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    calls = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.Call)
-             and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps")
-             and any(k.arg == "indent" for k in node.keywords)]
-    assert not calls, f"{path.name} calls json.dumps with indent= on lines {calls}"
+    writer = [call for node in tree.body if path.name == "cli_io.py"
+              and isinstance(node, ast.FunctionDef) and node.name == "_dump_json"
+              for call in _indented_dumps(node)]
+    stray = [call.lineno for call in _indented_dumps(tree) if call not in writer]
+    assert not stray, f"{path.name} calls json.dumps with indent= on lines {stray}"
+    if path.name == "cli_io.py":
+        readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+        documented = re.search(r"`(json\.dumps\(doc,[^`]*\))`", readme).group(1)
+        (call,) = writer
+        assert _keywords(call) == _keywords(ast.parse(" ".join(documented.split())).body[0].value)
 
 
 def test_cli_io_caches_nothing_across_calls_but_its_parser():

@@ -102,6 +102,19 @@ def test_ternary_product(sierpinski, discrete2):
     assert p.points[0].count(",") == 2
 
 
+@given(st.lists(orders().filter(lambda x: x.n <= 3), min_size=3, max_size=3)
+       .filter(lambda xs: xs[0].n * xs[1].n * xs[2].n <= 12))
+@settings(max_examples=40, deadline=None)
+def test_product_is_associative_and_commutative_up_to_homeomorphism(xs):
+    x, y, z = xs
+    caps = Caps(max_iso_points=12)
+    xyz = product([x, y, z])
+    assert is_homeomorphic(product([product([x, y]), z]), xyz, caps)
+    assert is_homeomorphic(product([x, product([y, z])]), xyz, caps)
+    assert is_homeomorphic(product([z, x, y]), xyz, caps)
+    assert is_homeomorphic(product([y, x]), product([x, y]), caps)
+
+
 # ---------------------------------------------------------------------------
 # predicates
 
